@@ -65,21 +65,25 @@ verify:
 # Short fuzz pass over every target — same budget as the CI smoke job.
 # Matcher/index crashers land under internal/verify/testdata/fuzz/
 # (replay with `go run ./cmd/cecirun -verify -seed <seed>`); kernel
-# crashers land under internal/setops/testdata/fuzz/.
+# crashers land under internal/setops/testdata/fuzz/; POST /query
+# wire-decode crashers land under internal/service/testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchDifferential -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -run='^$$' -fuzz=FuzzIndexRoundTrip -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=$(FUZZTIME) ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectionSize -fuzztime=$(FUZZTIME) ./internal/setops
+	$(GO) test -run='^$$' -fuzz=FuzzQueryRequestGraph -fuzztime=$(FUZZTIME) ./internal/service
 
-# What .github/workflows/ci.yml runs: vet + build + full tests, then a
-# race pass over the concurrency-heavy packages.
+# What .github/workflows/ci.yml's test job runs: vet + build + full
+# tests, the full suite raced, then fifty repeats of the shard router
+# suite to catch timing-dependent flakes.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/enum ./internal/ceci ./internal/cluster ./internal/obs ./internal/stats ./internal/prof ./internal/plan ./internal/setops ./internal/bitset ./internal/verify ./internal/service ./internal/shard ./cmd/ceciserve ./cmd/ceciroute
+	$(GO) test -race ./...
+	$(GO) test -count=50 ./internal/shard
 
 # Boot the query service on the Figure 1 fixture and exercise the HTTP
 # API end to end (also run raced by CI's service-smoke job).
@@ -90,7 +94,7 @@ serve-smoke:
 # Trace a query end to end: traceparent ingress, flight recorder,
 # Chrome export, audit flush (also run raced by CI's service-smoke job).
 trace-smoke:
-	$(GO) test -race -run 'TestServeTraceAuditFlush|TestTraced|TestRunTCPConnectedSpanTree' -v ./cmd/ceciserve ./internal/service ./internal/cluster
+	$(GO) test -race -run 'TestServeTraceAuditFlush|TestTraced|TestRouterTraceStitching' -v ./cmd/ceciserve ./internal/service ./internal/shard
 
 # Planner smoke: the cost model and planner property tests raced, the
 # adaptive paths (EXPLAIN ANALYZE planner section, service drift

@@ -43,10 +43,8 @@ import (
 	"syscall"
 	"time"
 
-	"ceci"
 	"ceci/internal/buildinfo"
 	"ceci/internal/datasets"
-	"ceci/internal/graph"
 	"ceci/internal/obs"
 	"ceci/internal/shard"
 	"ceci/internal/telemetry"
@@ -161,7 +159,7 @@ func runPartition(cfg routeConfig) error {
 	if cfg.outDir == "" {
 		return errors.New("-partition requires -out")
 	}
-	data, err := loadData(cfg.dataPath, cfg.dataset)
+	data, err := datasets.LoadFlags(cfg.dataPath, cfg.dataset)
 	if err != nil {
 		return err
 	}
@@ -268,17 +266,4 @@ func runRouter(ctx context.Context, cfg routeConfig) error {
 	}
 	fmt.Fprintf(cfg.errw, "ceciroute: clean shutdown\n")
 	return nil
-}
-
-func loadData(path, dataset string) (*graph.Graph, error) {
-	switch {
-	case path != "" && dataset != "":
-		return nil, fmt.Errorf("-data and -dataset are mutually exclusive")
-	case path != "":
-		return ceci.LoadGraphFile(path)
-	case dataset != "":
-		return datasets.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -data or -dataset")
-	}
 }

@@ -146,7 +146,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		defer cancel()
 	}
 
-	data, err := loadData(cfg.dataPath, cfg.dataset)
+	data, err := datasets.LoadFlags(cfg.dataPath, cfg.dataset)
 	if err != nil {
 		return err
 	}
@@ -480,19 +480,6 @@ func writeGraphFile(path string, g *ceci.Graph) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadData(path, dataset string) (*ceci.Graph, error) {
-	switch {
-	case path != "" && dataset != "":
-		return nil, fmt.Errorf("-data and -dataset are mutually exclusive")
-	case path != "":
-		return ceci.LoadGraphFile(path)
-	case dataset != "":
-		return datasets.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -data or -dataset")
-	}
 }
 
 func loadQuery(path, qg string) (*ceci.Graph, error) {

@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"ceci"
 	"ceci/internal/buildinfo"
 	"ceci/internal/datasets"
 	"ceci/internal/graph"
@@ -323,7 +322,7 @@ func gateHandler() http.Handler {
 // flag-parse time in main.
 func loadResident(cfg serveConfig) (*graph.Graph, *service.ShardConfig, error) {
 	if cfg.shardDir == "" {
-		data, err := loadData(cfg.dataPath, cfg.dataset)
+		data, err := datasets.LoadFlags(cfg.dataPath, cfg.dataset)
 		return data, nil, err
 	}
 	if cfg.dataPath != "" || cfg.dataset != "" {
@@ -343,17 +342,4 @@ func loadResident(cfg serveConfig) (*graph.Graph, *service.ShardConfig, error) {
 		Globals:     part.Globals,
 		OwnedLocals: part.OwnedLocals,
 	}, nil
-}
-
-func loadData(path, dataset string) (*graph.Graph, error) {
-	switch {
-	case path != "" && dataset != "":
-		return nil, fmt.Errorf("-data and -dataset are mutually exclusive")
-	case path != "":
-		return ceci.LoadGraphFile(path)
-	case dataset != "":
-		return datasets.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -data or -dataset")
-	}
 }

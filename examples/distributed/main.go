@@ -1,13 +1,15 @@
 // Distributed deployment walkthrough (Section 5 of the paper): runs the
-// same query through three deployments —
+// same query through two deployments —
 //
 //  1. the measured/simulated cluster in both placement modes, printing
 //     per-machine cost ledgers (pivots assigned, work stolen, build
 //     compute vs IO vs communication) and the speedup over one machine;
-//  2. a real TCP deployment: machines pull work and steal clusters over
-//     loopback sockets (the MPI stand-in), with wire bytes measured;
-//  3. the shared-storage deployment with real file IO: one CSR file on
+//  2. the shared-storage deployment with real file IO: one CSR file on
 //     disk, machines materializing only the regions their pivots need.
+//
+// Real multi-process serving of a partitioned graph — shard-mode
+// ceciserve processes behind the ceciroute router — is walked through
+// in the README's "Sharded serving" section.
 //
 // Run with:
 //
@@ -69,21 +71,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	// A real network deployment: coordination over TCP loopback.
-	fmt.Println("== TCP transport (real sockets, measured wire traffic) ==")
-	tcpRes, err := cluster.RunTCP(data, query, cluster.Config{
-		Machines: 4, WorkersPerMachine: 2,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var msgs int64
-	for _, l := range tcpRes.Machines {
-		msgs += l.MessagesSent
-	}
-	fmt.Printf("4 machines over TCP: %d embeddings, %d steals, %d wire messages\n\n",
-		tcpRes.Embeddings, tcpRes.Steals, msgs)
 
 	// The shared-storage deployment against a real CSR file.
 	fmt.Println("== shared storage (one CSR file, real positioned reads) ==")

@@ -61,7 +61,7 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 		opts.RefineRounds = 1
 	}
 	// StartUnder parents the build span beneath the request's ambient
-	// span (service queries) or trace context (remote machines) when the
+	// span (service queries) or trace context (router legs) when the
 	// context carries one; a bare Build stays a local root span.
 	span := obs.StartUnder(ctx, opts.Tracer, "build",
 		obs.Int("query_vertices", int64(tree.NumVertices())))

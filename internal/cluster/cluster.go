@@ -1,8 +1,13 @@
-// Package cluster simulates the paper's distributed CECI deployment
-// (Section 5) on a single host: machines are goroutine ensembles with
-// explicit message and IO accounting, so the distributed experiments
-// (Figures 16, 17, 20) can be reproduced without MPI or a lustre
-// filesystem.
+// Package cluster reproduces the paper's distributed CECI deployment
+// (Section 5) on a single host, so the distributed experiments (Figures
+// 16, 17, 20) run without MPI or a lustre filesystem. It has two
+// runtimes:
+//
+//   - Simulation measures the index build and every embedding cluster's
+//     enumeration once, serially, then replays any machine-count/mode
+//     configuration as a discrete-event schedule (Figures 16 and 17);
+//   - RunDiskShared runs the shared-storage deployment with real file IO
+//     against one CSR file (Figure 20).
 //
 // What is faithful to the paper:
 //
@@ -16,35 +21,22 @@
 //   - Jaccard-similarity co-location of overlapping clusters (replicated
 //     mode only, top-K largest clusters, J >= 0.5);
 //   - per-machine CECI construction over the machine's pivot partition;
-//   - work stealing from the machine with the most unexplored clusters,
-//     modeled as a one-sided read of the victim's queue and index (the
-//     MPI_Get of the paper);
-//   - result accumulation to machine 0.
+//   - work stealing from the machine with the most unexplored clusters
+//     (the MPI_Get of the paper).
 //
 // What is modeled rather than physical: network latency/bandwidth and
 // shared-storage read cost are charged to per-machine cost ledgers
 // (Ledger) instead of being slept away, so experiments report both the
 // measured compute time and the modeled IO/communication components —
-// exactly the breakdown Figure 20 plots.
+// exactly the breakdown Figure 20 plots. Real multi-process serving of
+// a partitioned graph lives in internal/shard.
 package cluster
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"ceci/internal/auto"
-	"ceci/internal/ceci"
-	"ceci/internal/enum"
 	"ceci/internal/graph"
-	"ceci/internal/obs"
-	"ceci/internal/order"
-	"ceci/internal/prof"
-	"ceci/internal/stats"
 	"ceci/internal/workload"
 )
 
@@ -91,42 +83,6 @@ type Config struct {
 	JaccardTopK int
 	// Beta is the FGD ExtremeCluster threshold within each machine.
 	Beta float64
-	// Stats receives global counters (may be nil). Steal attempts,
-	// embeddings, remote reads, and (TCP mode) wire bytes and message
-	// counts are added live as machines progress, so an attached
-	// telemetry endpoint sees them mid-run.
-	Stats *stats.Counters
-	// Tracer records per-machine build/enumerate spans (may be nil).
-	Tracer *obs.Tracer
-	// Profile receives the EXPLAIN ANALYZE accounting (may be nil): the
-	// filter funnel of every machine's build, enumeration intersection
-	// costs, per-machine cluster cardinalities, and one worker slot per
-	// machine filled from its ledger (busy = enumerate wall time,
-	// units = clusters executed, steals = clusters stolen).
-	Profile *prof.Collector
-	// Obs, when non-nil, is wired to the run: Stats become its counter
-	// set, the tracer is attached, and a "cluster" gauge source exposes
-	// per-machine pending-queue depth (and, in TCP mode, stolen-cluster
-	// counts) for mid-run scraping.
-	Obs *obs.Registry
-}
-
-// wireObs connects the registry to this run's stats/tracer, creating a
-// counter set when the caller supplied neither.
-func (c *Config) wireObs() {
-	if c.Obs == nil {
-		return
-	}
-	if existing := c.Obs.Counters(); c.Stats == nil && existing != nil {
-		c.Stats = existing
-	}
-	if c.Stats == nil {
-		c.Stats = &stats.Counters{}
-	}
-	c.Obs.SetCounters(c.Stats)
-	if c.Tracer != nil {
-		c.Obs.SetTracer(c.Tracer)
-	}
 }
 
 func (c *Config) defaults() error {
@@ -156,13 +112,12 @@ func (c *Config) defaults() error {
 type Ledger struct {
 	BuildCompute time.Duration // measured: CECI construction CPU
 	BuildIO      time.Duration // modeled: remote reads (SharedStorage) or initial graph load (Replicated)
-	Comm         time.Duration // modeled: pivot distribution, steals, result accumulation
+	Comm         time.Duration // modeled: pivot distribution and steals
 	Enumerate    time.Duration // measured: embedding enumeration wall time
 	Pivots       int           // clusters assigned initially
 	Stolen       int           // clusters obtained by stealing
 	Embeddings   int64
 	RemoteReads  int64
-	MessagesSent int64
 }
 
 // Total returns the machine's end-to-end modeled time.
@@ -181,118 +136,6 @@ type Result struct {
 	Steals int64
 }
 
-// Run executes the distributed subgraph listing simulation.
-func Run(data, query *graph.Graph, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), data, query, cfg)
-}
-
-// RunCtx is Run under a context. Cancellation is honored at cluster
-// granularity — each machine checks the context before building its CECI,
-// before every locally-owned pivot, and before every steal — and inside
-// per-cluster enumeration through the enumerator's own context plumbing.
-// On cancellation the partial Result accumulated so far is returned
-// together with the context's cause.
-func RunCtx(ctx context.Context, data, query *graph.Graph, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	cfg.wireObs()
-	// StartUnder joins the request's trace when the context carries an
-	// ambient span or trace context (service queries); a bare Run stays a
-	// local root span.
-	runSpan := obs.StartUnder(ctx, cfg.Tracer, "cluster-run",
-		obs.Int("machines", int64(cfg.Machines)),
-		obs.String("mode", cfg.Mode.String()))
-	defer runSpan.End()
-	tree, err := order.Preprocess(data, query, order.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	cons := auto.Compute(query)
-
-	// Coordinator: collect pivots and distribute them by the §5
-	// light-weight workload estimate.
-	var pivots []graph.VertexID
-	order.ForEachCandidate(data, query, tree.Root, func(v graph.VertexID) {
-		pivots = append(pivots, v)
-	})
-	parts := distributePivots(data, pivots, cfg)
-
-	res := &Result{Machines: make([]Ledger, cfg.Machines)}
-	machines := make([]*machine, cfg.Machines)
-	for i := range machines {
-		machines[i] = &machine{
-			id:     i,
-			ctx:    ctx,
-			cfg:    &cfg,
-			data:   data,
-			tree:   tree,
-			cons:   cons,
-			ledger: &res.Machines[i],
-			span:   runSpan.Child("machine", obs.Int("id", int64(i))),
-		}
-	}
-	// Shared steal registry: pending (machine, pivot-queue) state.
-	reg := &stealRegistry{queues: make([]pivotQueue, cfg.Machines)}
-	if cfg.Obs != nil {
-		// Per-machine pending-queue depth, scrapeable mid-run.
-		cfg.Obs.SetSource("cluster", func() map[string]int64 {
-			out := make(map[string]int64, len(reg.queues)+1)
-			out["machines"] = int64(len(reg.queues))
-			for i := range reg.queues {
-				out[fmt.Sprintf("machine_%d_pending", i)] = int64(reg.queues[i].size())
-			}
-			return out
-		})
-	}
-	for i, p := range parts {
-		reg.queues[i].pivots = p
-		res.Machines[i].Pivots = len(p)
-		// Pivot distribution: one message per machine plus payload bytes.
-		res.Machines[i].Comm += cfg.MessageLatency +
-			time.Duration(float64(len(p)*4)/cfg.BytesPerSecond*float64(time.Second))
-		res.Machines[i].MessagesSent++
-	}
-
-	cfg.Profile.EnsureWorkers(cfg.Machines)
-
-	var total atomic.Int64
-	var steals atomic.Int64
-	var wg sync.WaitGroup
-	for _, m := range machines {
-		wg.Add(1)
-		go func(m *machine) {
-			defer wg.Done()
-			m.run(reg, &total, &steals)
-		}(m)
-	}
-	wg.Wait()
-
-	// Result accumulation to machine 0: one message per other machine.
-	for i := 1; i < cfg.Machines; i++ {
-		res.Machines[i].Comm += cfg.MessageLatency
-		res.Machines[i].MessagesSent++
-	}
-
-	res.Embeddings = total.Load()
-	res.Steals = steals.Load()
-	for i := range res.Machines {
-		if t := res.Machines[i].Total(); t > res.Makespan {
-			res.Makespan = t
-		}
-	}
-	cfg.Profile.AddEnumWall(res.Makespan)
-	// Embeddings, steals, and remote reads were added to cfg.Stats live,
-	// per pivot/steal, inside machine.run.
-	if err := ctx.Err(); err != nil {
-		return res, context.Cause(ctx)
-	}
-	return res, nil
-}
-
 // distributePivots assigns pivots to machines via the shared §5
 // workload-estimate partitioner (workload.DistributePivots). Neighbor
 // degrees and Jaccard co-location require the whole graph locally, so
@@ -304,205 +147,4 @@ func distributePivots(data *graph.Graph, pivots []graph.VertexID, cfg Config) []
 		Jaccard:         cfg.Jaccard && cfg.Mode == Replicated,
 		JaccardTopK:     cfg.JaccardTopK,
 	})
-}
-
-// pivotQueue is one machine's pending clusters, stealable by others.
-type pivotQueue struct {
-	mu     sync.Mutex
-	pivots []graph.VertexID
-	index  *ceci.Index // published after the owner builds it
-}
-
-func (q *pivotQueue) pop() (graph.VertexID, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.pivots) == 0 {
-		return 0, false
-	}
-	v := q.pivots[len(q.pivots)-1]
-	q.pivots = q.pivots[:len(q.pivots)-1]
-	return v, true
-}
-
-func (q *pivotQueue) size() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pivots)
-}
-
-type stealRegistry struct {
-	queues []pivotQueue
-}
-
-// victim returns the machine with the most unexplored clusters, excluding
-// self; ok is false when everything is drained.
-func (r *stealRegistry) victim(self int) (int, bool) {
-	best, bestSize := -1, 0
-	for i := range r.queues {
-		if i == self {
-			continue
-		}
-		if s := r.queues[i].size(); s > bestSize {
-			best, bestSize = i, s
-		}
-	}
-	return best, best >= 0
-}
-
-type machine struct {
-	id     int
-	ctx    context.Context
-	cfg    *Config
-	data   *graph.Graph
-	tree   *order.QueryTree
-	cons   *auto.Constraints
-	ledger *Ledger
-	span   *obs.Span
-}
-
-func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.Int64) {
-	defer m.span.End()
-	q := &reg.queues[m.id]
-
-	// Phase 1: build the local CECI over this machine's pivot partition.
-	// The build opens its own span (with expand/refine children); parenting
-	// it under this machine's span via the context keeps one tree.
-	st := &stats.Counters{}
-	buildCtx := obs.ContextWithSpan(obs.DetachTrace(m.ctx), m.span)
-	start := time.Now()
-	q.mu.Lock()
-	myPivots := append([]graph.VertexID(nil), q.pivots...)
-	q.mu.Unlock()
-	var ix *ceci.Index
-	if len(myPivots) > 0 {
-		var err error
-		ix, err = ceci.BuildCtx(buildCtx, m.data, m.tree, ceci.Options{
-			Workers: m.cfg.WorkersPerMachine,
-			Pivots:  myPivots,
-			Stats:   st,
-			Profile: m.cfg.Profile,
-		})
-		if err != nil {
-			// Cancelled mid-build: this machine contributes nothing; the
-			// loops below observe the context and drain immediately.
-			ix = nil
-		}
-	}
-	if p := m.cfg.Profile; p != nil && ix != nil {
-		// The per-pivot inner matchers get no profile (their worker IDs
-		// would collide across machines); this machine's cluster
-		// cardinalities and ledger are recorded here instead.
-		cards := make([]int64, len(myPivots))
-		for i, pv := range myPivots {
-			cards[i] = ix.ClusterCardinality(pv)
-		}
-		p.RecordClusters(workload.FGD.String(), cards, cards)
-	}
-	m.ledger.BuildCompute = time.Since(start)
-	m.ledger.RemoteReads = st.RemoteReads.Load()
-	if g := m.cfg.Stats; g != nil {
-		g.RemoteReads.Add(m.ledger.RemoteReads)
-	}
-
-	switch m.cfg.Mode {
-	case SharedStorage:
-		// Every adjacency fetch paid the remote-read cost.
-		m.ledger.BuildIO = time.Duration(m.ledger.RemoteReads) * m.cfg.RemoteReadLatency
-	case Replicated:
-		// One bulk load of the CSR into local memory.
-		bytes := float64(m.data.BytesEstimate())
-		m.ledger.BuildIO = time.Duration(bytes / m.cfg.BytesPerSecond * float64(time.Second))
-	}
-
-	q.mu.Lock()
-	q.index = ix
-	q.mu.Unlock()
-
-	// Phase 2: enumerate local clusters, then steal. The per-pivot inner
-	// matchers run under a detached context — one "enumerate" span per
-	// pivot would flood the trace — so this wrapper span is the phase's
-	// representation in the tree.
-	esp := m.span.Child("enumerate")
-	defer esp.End()
-	pivotCtx := obs.DetachTrace(m.ctx)
-	enumStart := time.Now()
-	var found, executed int64
-	runPivot := func(ix *ceci.Index, pivot graph.VertexID) {
-		executed++
-		sub := restrictIndex(ix, pivot)
-		matcher := enum.NewMatcher(sub, enum.Options{
-			Workers:  m.cfg.WorkersPerMachine,
-			Strategy: workload.FGD,
-			Beta:     m.cfg.Beta,
-		})
-		n, _ := matcher.CountCtx(pivotCtx)
-		found += n
-		// Live accounting: the totals and global counters advance per
-		// cluster, not at machine exit, so telemetry tracks the run.
-		total.Add(n)
-		m.cfg.Stats.AddEmbeddings(n)
-	}
-	for {
-		if m.ctx.Err() != nil {
-			break
-		}
-		pivot, ok := q.pop()
-		if !ok {
-			break
-		}
-		if ix != nil {
-			runPivot(ix, pivot)
-		}
-	}
-	// Work stealing: one-sided reads of the victim's queue and index.
-	for m.ctx.Err() == nil {
-		victim, ok := reg.victim(m.id)
-		if !ok {
-			break
-		}
-		vq := &reg.queues[victim]
-		vq.mu.Lock()
-		vix := vq.index
-		vq.mu.Unlock()
-		if vix == nil {
-			// The victim is still building its CECI; its clusters are
-			// not stealable yet.
-			runtime.Gosched()
-			continue
-		}
-		pivot, ok := vq.pop()
-		if !ok {
-			continue
-		}
-		m.ledger.Comm += m.cfg.MessageLatency // the MPI_Get
-		m.ledger.MessagesSent++
-		m.ledger.Stolen++
-		steals.Add(1)
-		if g := m.cfg.Stats; g != nil {
-			g.StealAttempts.Add(1)
-		}
-		runPivot(vix, pivot)
-	}
-	m.ledger.Enumerate = time.Since(enumStart)
-	m.ledger.Embeddings = found
-	m.cfg.Profile.RecordWorker(m.id, m.ledger.Enumerate, executed, int64(m.ledger.Stolen))
-}
-
-// restrictIndex views ix through a single pivot without copying: the
-// enumerator only reads Cands of the root to seed clusters, so a shallow
-// clone with a one-element root candidate list suffices.
-func restrictIndex(ix *ceci.Index, pivot graph.VertexID) *ceci.Index {
-	clone := *ix
-	clone.Nodes = append([]ceci.Node(nil), ix.Nodes...)
-	root := ix.Tree.Root
-	node := clone.Nodes[root]
-	node.Cands = []graph.VertexID{pivot}
-	clone.Nodes[root] = node
-	return &clone
-}
-
-// String renders a result summary.
-func (r *Result) String() string {
-	return fmt.Sprintf("cluster{embeddings=%d machines=%d makespan=%v steals=%d}",
-		r.Embeddings, len(r.Machines), r.Makespan, r.Steals)
 }

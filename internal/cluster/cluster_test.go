@@ -1,13 +1,10 @@
 package cluster_test
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +12,6 @@ import (
 	"ceci/internal/cluster"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
-	"ceci/internal/obs"
 	"ceci/internal/reference"
 )
 
@@ -29,9 +25,13 @@ func TestClusterMatchesOracle(t *testing.T) {
 		}
 		cons := auto.Compute(query)
 		want := reference.Count(data, query, reference.Options{Constraints: cons})
+		sim, err := cluster.NewSimulation(data, query)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		for _, machines := range []int{1, 3, 5} {
 			for _, mode := range []cluster.Mode{cluster.Replicated, cluster.SharedStorage} {
-				res, err := cluster.Run(data, query, cluster.Config{
+				res, err := sim.Run(cluster.Config{
 					Machines:          machines,
 					WorkersPerMachine: 2,
 					Mode:              mode,
@@ -39,36 +39,46 @@ func TestClusterMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d m=%d %v: %v", trial, machines, mode, err)
 				}
-				if res.Embeddings != want {
-					t.Fatalf("trial %d m=%d %v: got %d want %d",
-						trial, machines, mode, res.Embeddings, want)
+				// The per-machine ledgers, not just the measured total,
+				// must add up: every cluster is enumerated exactly once.
+				if got := ledgerEmbeddings(res); got != want || res.Embeddings != want {
+					t.Fatalf("trial %d m=%d %v: ledgers sum to %d (total %d), want %d",
+						trial, machines, mode, got, res.Embeddings, want)
 				}
 			}
 		}
 	}
 }
 
+func ledgerEmbeddings(r *cluster.Result) (sum int64) {
+	for _, l := range r.Machines {
+		sum += l.Embeddings
+	}
+	return sum
+}
+
 func TestClusterJaccardColocationAgrees(t *testing.T) {
-	data := gen.Kronecker(9, 8, 13)
-	query := gen.QG2()
-	base, err := cluster.Run(data, query, cluster.Config{Machines: 4, WorkersPerMachine: 1})
+	sim, err := cluster.NewSimulation(gen.Kronecker(9, 8, 13), gen.QG2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jac, err := cluster.Run(data, query, cluster.Config{
+	base, err := sim.Run(cluster.Config{Machines: 4, WorkersPerMachine: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jac, err := sim.Run(cluster.Config{
 		Machines: 4, WorkersPerMachine: 1, Jaccard: true, JaccardTopK: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Embeddings != jac.Embeddings {
-		t.Fatalf("jaccard co-location changed result: %d vs %d", jac.Embeddings, base.Embeddings)
+	if b, j := ledgerEmbeddings(base), ledgerEmbeddings(jac); b != j || b != sim.Embeddings() {
+		t.Fatalf("jaccard co-location changed result: %d vs %d (measured %d)", j, b, sim.Embeddings())
 	}
 }
 
 func TestClusterLedgers(t *testing.T) {
-	data := gen.Kronecker(9, 8, 5)
-	res, err := cluster.Run(data, gen.QG1(), cluster.Config{
+	res, err := cluster.Simulate(gen.Kronecker(9, 8, 5), gen.QG1(), cluster.Config{
 		Machines: 4, WorkersPerMachine: 1, Mode: cluster.SharedStorage,
 	})
 	if err != nil {
@@ -98,64 +108,60 @@ func TestClusterLedgers(t *testing.T) {
 
 func TestClusterWorkStealingOccurs(t *testing.T) {
 	// A deliberately skewed pivot distribution: a hub-heavy Kronecker
-	// graph with many machines and one worker each should trigger steals
-	// at least sometimes. This asserts the mechanism works end-to-end
-	// (count correct even when steals happen), not a scheduling property.
-	data := gen.Kronecker(10, 10, 2)
-	query := gen.QG1()
-	res, err := cluster.Run(data, query, cluster.Config{Machines: 8, WorkersPerMachine: 1})
+	// graph with many machines and one worker each. This asserts the
+	// steal accounting is consistent and the count is unchanged however
+	// many clusters move, not a scheduling property.
+	sim, err := cluster.NewSimulation(gen.Kronecker(10, 10, 2), gen.QG1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := cluster.Run(data, query, cluster.Config{Machines: 1, WorkersPerMachine: 1})
+	res, err := sim.Run(cluster.Config{Machines: 8, WorkersPerMachine: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Embeddings != single.Embeddings {
-		t.Fatalf("distributed count %d != single-machine %d", res.Embeddings, single.Embeddings)
+	single, err := sim.Run(cluster.Config{Machines: 1, WorkersPerMachine: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ledgerEmbeddings(res), ledgerEmbeddings(single); got != want {
+		t.Fatalf("distributed count %d != single-machine %d", got, want)
+	}
+	if single.Steals != 0 {
+		t.Fatalf("one machine stole %d clusters from nobody", single.Steals)
+	}
+	var stolen int64
+	for _, l := range res.Machines {
+		stolen += int64(l.Stolen)
+	}
+	if stolen != res.Steals {
+		t.Fatalf("ledgers record %d stolen clusters, result %d", stolen, res.Steals)
 	}
 }
 
-// TestSimulateMatchesRun: the discrete-event simulation and the real
-// concurrent implementation must find the same embedding count for the
-// same configuration.
+// TestSimulateMatchesRun: the two §5 runtimes — the discrete-event
+// simulation and the shared-storage run with real file IO — must find
+// the same embedding count for the same configuration.
 func TestSimulateMatchesRun(t *testing.T) {
 	data := gen.Kronecker(9, 6, 17)
 	query := gen.QG2()
+	path := writeCSR(t, filepath.Join(t.TempDir(), "data.csr"), data)
 	sim, err := cluster.NewSimulation(data, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, machines := range []int{1, 3, 8} {
-		for _, mode := range []cluster.Mode{cluster.Replicated, cluster.SharedStorage} {
-			cfg := cluster.Config{Machines: machines, WorkersPerMachine: 2, Mode: mode}
-			simRes, err := sim.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runRes, err := cluster.Run(data, query, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if simRes.Embeddings != runRes.Embeddings {
-				t.Fatalf("m=%d %v: simulate %d != run %d",
-					machines, mode, simRes.Embeddings, runRes.Embeddings)
-			}
-			if simRes.Embeddings != sim.Embeddings() {
-				t.Fatal("result total diverges from measurement total")
-			}
-			// Pivot conservation: assignments cover every cluster.
-			pivots := 0
-			for _, l := range simRes.Machines {
-				pivots += l.Pivots
-			}
-			wantPivots := 0
-			for _, l := range runRes.Machines {
-				wantPivots += l.Pivots
-			}
-			if pivots != wantPivots {
-				t.Fatalf("pivot counts diverge: %d vs %d", pivots, wantPivots)
-			}
+		cfg := cluster.Config{Machines: machines, WorkersPerMachine: 2, Mode: cluster.SharedStorage}
+		simRes, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runRes, err := cluster.RunDiskShared(path, query, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ledgerEmbeddings(simRes); got != runRes.Embeddings || got != sim.Embeddings() {
+			t.Fatalf("m=%d: simulate %d (measured %d) != disk run %d",
+				machines, got, sim.Embeddings(), runRes.Embeddings)
 		}
 	}
 }
@@ -197,9 +203,14 @@ func maxEnumerate(r *cluster.Result) (max time.Duration) {
 }
 
 func TestClusterRejectsBadConfig(t *testing.T) {
-	data := gen.Kronecker(6, 4, 1)
-	if _, err := cluster.Run(data, gen.QG1(), cluster.Config{Machines: 0}); err == nil {
-		t.Fatal("expected error for zero machines")
+	sim, err := cluster.NewSimulation(gen.Kronecker(6, 4, 1), gen.QG1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, machines := range []int{0, -1} {
+		if _, err := sim.Run(cluster.Config{Machines: machines}); err == nil {
+			t.Fatalf("expected error for %d machines", machines)
+		}
 	}
 }
 
@@ -221,56 +232,6 @@ func randomGraph(rng *rand.Rand, n, m, labels int) *graph.Graph {
 	return b.MustBuild()
 }
 
-// TestRunTCPMatchesOracle: the TCP-transport deployment must agree with
-// the oracle and with the in-process Run.
-func TestRunTCPMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 8; trial++ {
-		data := randomGraph(rng, 25, 70, 2)
-		query, err := gen.DFSQuery(data, 3+rng.Intn(3), rng)
-		if err != nil {
-			continue
-		}
-		cons := auto.Compute(query)
-		want := reference.Count(data, query, reference.Options{Constraints: cons})
-		for _, machines := range []int{1, 4} {
-			res, err := cluster.RunTCP(data, query, cluster.Config{
-				Machines:          machines,
-				WorkersPerMachine: 2,
-			})
-			if err != nil {
-				t.Fatalf("trial %d m=%d: %v", trial, machines, err)
-			}
-			if res.Embeddings != want {
-				t.Fatalf("trial %d m=%d: got %d want %d", trial, machines, res.Embeddings, want)
-			}
-		}
-	}
-}
-
-// TestRunTCPWireAccounting: messages and bytes must actually flow.
-func TestRunTCPWireAccounting(t *testing.T) {
-	data := gen.Kronecker(9, 6, 3)
-	res, err := cluster.RunTCP(data, gen.QG1(), cluster.Config{
-		Machines: 3, WorkersPerMachine: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs int64
-	var comm time.Duration
-	for _, l := range res.Machines {
-		msgs += l.MessagesSent
-		comm += l.Comm
-	}
-	if msgs == 0 {
-		t.Fatal("no messages counted on the wire")
-	}
-	if comm == 0 {
-		t.Fatal("no wire bytes recorded")
-	}
-}
-
 // TestRunDiskSharedMatchesOracle: the real-file-IO shared-storage
 // deployment must produce exact counts and record actual reads.
 func TestRunDiskSharedMatchesOracle(t *testing.T) {
@@ -282,15 +243,7 @@ func TestRunDiskSharedMatchesOracle(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		path := filepath.Join(dir, fmt.Sprintf("g%d.csr", trial))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := graph.WriteCSR(f, data); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+		path := writeCSR(t, filepath.Join(dir, fmt.Sprintf("g%d.csr", trial)), data)
 
 		cons := auto.Compute(query)
 		want := reference.Count(data, query, reference.Options{Constraints: cons})
@@ -318,154 +271,17 @@ func TestRunDiskSharedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRunObservability: an attached registry must expose the in-process
-// run's counters, span tree, and per-machine queue gauges.
-func TestRunObservability(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(obs.TracerOptions{})
-	data := gen.Kronecker(9, 6, 3)
-	res, err := cluster.Run(data, gen.QG1(), cluster.Config{
-		Machines: 3, WorkersPerMachine: 1, Obs: reg, Tracer: tr,
-	})
+// writeCSR stores data as a binary CSR file at path, the shared-storage
+// runtime's input.
+func writeCSR(t *testing.T, path string, data *graph.Graph) string {
+	t.Helper()
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := reg.Counters()
-	if c == nil {
-		t.Fatal("registry has no counters after run")
-	}
-	if got := c.Embeddings.Load(); got != res.Embeddings {
-		t.Fatalf("live embeddings = %d, result = %d", got, res.Embeddings)
-	}
-	phases := tr.PhaseDurations()
-	for _, want := range []string{"cluster-run", "machine", "build", "enumerate"} {
-		if phases[want] <= 0 {
-			t.Fatalf("phase %q missing: %v", want, phases)
-		}
-	}
-	prom := reg.PrometheusText()
-	for _, want := range []string{"ceci_cluster_machines 3", "ceci_cluster_machine_0_pending", "ceci_embeddings_total"} {
-		if !strings.Contains(prom, want) {
-			t.Fatalf("missing %q in scrape:\n%s", want, prom)
-		}
-	}
-}
-
-// TestRunTCPObservability: wire traffic and steals must be visible live
-// through the registry, not just in the final ledgers.
-func TestRunTCPObservability(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(obs.TracerOptions{})
-	data := gen.Kronecker(9, 6, 3)
-	res, err := cluster.RunTCP(data, gen.QG1(), cluster.Config{
-		Machines: 3, WorkersPerMachine: 1, Obs: reg, Tracer: tr,
-	})
-	if err != nil {
+	defer f.Close()
+	if err := graph.WriteCSR(f, data); err != nil {
 		t.Fatal(err)
 	}
-	c := reg.Counters()
-	if c.BytesOnWire.Load() == 0 || c.MessagesSent.Load() == 0 {
-		t.Fatalf("wire counters empty: bytes=%d msgs=%d",
-			c.BytesOnWire.Load(), c.MessagesSent.Load())
-	}
-	if got := c.Embeddings.Load(); got != res.Embeddings {
-		t.Fatalf("live embeddings = %d, result = %d", got, res.Embeddings)
-	}
-	phases := tr.PhaseDurations()
-	for _, want := range []string{"tcp-run", "machine", "cluster"} {
-		if phases[want] <= 0 {
-			t.Fatalf("phase %q missing: %v", want, phases)
-		}
-	}
-	if !strings.Contains(reg.PrometheusText(), "ceci_cluster_machines 3") {
-		t.Fatal("cluster gauge source missing from scrape")
-	}
-}
-
-// TestRunTCPConnectedSpanTree: the trace context crosses the real TCP
-// wire, so every machine's spans must stitch into ONE tree under the
-// caller's trace — no orphaned roots.
-func TestRunTCPConnectedSpanTree(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerOptions{})
-	// The caller's trace identity arrives as if from an upstream service.
-	want, err := obs.ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := obs.ContextWithTrace(context.Background(), want)
-	data := gen.Kronecker(9, 6, 3)
-	const machines = 3
-	if _, err := cluster.RunTCPCtx(ctx, data, gen.QG1(), cluster.Config{
-		Machines: machines, WorkersPerMachine: 1, Tracer: tr,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	roots := obs.Stitch(tr.Tree())
-	if len(roots) != 1 {
-		names := make([]string, len(roots))
-		for i, r := range roots {
-			names[i] = r.Name
-		}
-		t.Fatalf("span forest has %d roots %v, want 1 connected tree", len(roots), names)
-	}
-	root := roots[0]
-	if root.Name != "tcp-run" {
-		t.Fatalf("root span = %q, want tcp-run", root.Name)
-	}
-	if root.TraceID != want.TraceID.String() {
-		t.Fatalf("root trace ID = %s, want caller's %s", root.TraceID, want.TraceID)
-	}
-	if root.ParentSpanID != want.SpanID.String() {
-		t.Fatalf("root parent = %s, want caller's span %s", root.ParentSpanID, want.SpanID)
-	}
-
-	// Every span in the tree belongs to the caller's trace, machine spans
-	// sit directly under the run root, and each has real work below it.
-	machineCount := 0
-	var walk func(n *obs.SpanNode, depth int)
-	walk = func(n *obs.SpanNode, depth int) {
-		if n.TraceID != want.TraceID.String() {
-			t.Fatalf("span %q left the trace: %s", n.Name, n.TraceID)
-		}
-		if n.Name == "machine" {
-			machineCount++
-			if depth != 1 {
-				t.Fatalf("machine span at depth %d, want 1", depth)
-			}
-			if len(n.Children) == 0 {
-				t.Fatalf("machine span has no child spans")
-			}
-		}
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(root, 0)
-	if machineCount != machines {
-		t.Fatalf("stitched %d machine spans, want %d", machineCount, machines)
-	}
-
-	// The connected tree renders as valid Chrome trace_event JSON.
-	doc, err := obs.ChromeTrace(roots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		TraceEvents []struct {
-			Name string            `json:"name"`
-			Ph   string            `json:"ph"`
-			Args map[string]string `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(doc, &parsed); err != nil {
-		t.Fatalf("Chrome export is not valid JSON: %v", err)
-	}
-	byName := map[string]int{}
-	for _, ev := range parsed.TraceEvents {
-		byName[ev.Name]++
-	}
-	if byName["tcp-run"] != 1 || byName["machine"] != machines {
-		t.Fatalf("Chrome export event counts wrong: %v", byName)
-	}
+	return path
 }

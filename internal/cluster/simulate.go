@@ -19,14 +19,10 @@ import (
 // discrete-event simulation of the distributed schedule — including
 // pivot partitioning, work stealing, and IO/communication charges. This
 // is what the Figure 16/17 speedup curves and the Figure 20 build-cost
-// breakdown are generated from; Run is the real concurrent
-// implementation, cross-checked against the simulation for identical
-// embedding counts.
+// breakdown are generated from. Its embedding counts are checked
+// against the reference matcher in the package tests.
 type Simulation struct {
-	data  *graph.Graph
-	query *graph.Graph
-	tree  *order.QueryTree
-
+	data        *graph.Graph
 	pivots      []graph.VertexID
 	clusterCost map[graph.VertexID]time.Duration
 	clusterEmb  map[graph.VertexID]int64
@@ -45,8 +41,6 @@ func NewSimulation(data, query *graph.Graph) (*Simulation, error) {
 	}
 	s := &Simulation{
 		data:        data,
-		query:       query,
-		tree:        tree,
 		clusterCost: make(map[graph.VertexID]time.Duration),
 		clusterEmb:  make(map[graph.VertexID]int64),
 	}
@@ -91,7 +85,6 @@ func (s *Simulation) Run(cfg Config) (*Result, error) {
 		led.Pivots = len(part)
 		led.Comm += cfg.MessageLatency +
 			time.Duration(float64(len(part)*4)/cfg.BytesPerSecond*float64(time.Second))
-		led.MessagesSent++
 		if len(part) == 0 {
 			continue
 		}
@@ -161,7 +154,6 @@ func (s *Simulation) Run(cfg Config) (*Result, error) {
 		c := queues[victim][0]
 		queues[victim] = queues[victim][1:]
 		res.Machines[m].Stolen++
-		res.Machines[m].MessagesSent++
 		res.Steals++
 		d := time.Duration(float64(c.cost) / speed)
 		clock[m] += cfg.MessageLatency + d

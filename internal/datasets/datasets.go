@@ -144,3 +144,18 @@ func Load(name string) (*graph.Graph, error) {
 	cache[spec.Name] = g
 	return g, nil
 }
+
+// LoadFlags loads the data graph a CLI names with its -data/-dataset
+// flag pair: a graph file (.lg labeled, else edge list) or a built-in
+// substitute, exactly one of the two.
+func LoadFlags(path, name string) (*graph.Graph, error) {
+	switch {
+	case path != "" && name != "":
+		return nil, fmt.Errorf("-data and -dataset are mutually exclusive")
+	case path != "":
+		return graph.LoadFile(path)
+	case name != "":
+		return Load(name)
+	}
+	return nil, fmt.Errorf("need -data or -dataset")
+}

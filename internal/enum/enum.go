@@ -50,7 +50,7 @@ type Options struct {
 	// a final report) when it ends (may be nil).
 	Progress *obs.Reporter
 	// Profile receives the EXPLAIN ANALYZE accounting: cluster/unit
-	// cardinality distributions and per-worker busy/unit/steal totals
+	// cardinality distributions and per-worker busy/unit totals
 	// (may be nil). Attach the same collector to the build options to
 	// also capture the filter funnel and index shape.
 	Profile *prof.Collector
@@ -199,7 +199,7 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 	}
 
 	// StartUnder joins the request's trace when the context carries a
-	// parent span or trace context (service queries, remote machines);
+	// parent span or trace context (service queries, router legs);
 	// a bare ForEach stays a local root span.
 	span := obs.StartUnder(ctx, m.opts.Trace, "enumerate",
 		obs.String("strategy", m.opts.Strategy.String()),

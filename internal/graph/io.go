@@ -50,16 +50,17 @@ func LoadEdgeList(r io.Reader) (*Graph, error) {
 	return b.Build()
 }
 
-// maxLabelValue bounds label values accepted by the loader. The dense
-// label alphabet materializes a per-label index, so an absurd label value
-// is an input error, not a 2^32-entry allocation.
-const maxLabelValue = 1 << 24
+// MaxLabelValue bounds label values accepted by the loader (and by any
+// other decoder of untrusted graphs). The dense label alphabet
+// materializes a per-label index, so an absurd label value is an input
+// error, not a 2^32-entry allocation.
+const MaxLabelValue = 1 << 24
 
 // LoadLabeled reads the "t/v/e" labeled-graph format from r.
 //
 // The loader validates the input rather than silently repairing it: a
 // malformed header, a vertex or edge referring to an ID at or beyond the
-// header's declared vertex count, a label beyond maxLabelValue, and a
+// header's declared vertex count, a label beyond MaxLabelValue, and a
 // duplicate edge (in either orientation) are all errors with line
 // numbers, since each one signals a corrupt or mis-generated artifact.
 func LoadLabeled(r io.Reader) (*Graph, error) {
@@ -116,8 +117,8 @@ func LoadLabeled(r io.Reader) (*Graph, error) {
 				if err != nil {
 					return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 				}
-				if l > maxLabelValue {
-					return nil, fmt.Errorf("graph: line %d: label %d out of range [0,%d]", lineNo, l, maxLabelValue)
+				if l > MaxLabelValue {
+					return nil, fmt.Errorf("graph: line %d: label %d out of range [0,%d]", lineNo, l, MaxLabelValue)
 				}
 				if i == 0 {
 					b.SetLabel(VertexID(id), Label(l))

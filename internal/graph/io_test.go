@@ -133,7 +133,7 @@ func TestLabeledValidationEdgeCases(t *testing.T) {
 		"t 2 1\nv 0 0\nv 1 0\ne 0 1\ne 0 1\n", // duplicate, same orientation
 		"t 2 1\nv 0 0\nv 1 0\ne 0 1\ne 1 0\n", // duplicate, flipped
 		"t 2 1\nv 0 0\nv 1 0\ne 0 2\n",        // edge endpoint beyond header
-		"v 0 99999999\n",                      // label beyond maxLabelValue
+		"v 0 99999999\n",                      // label beyond MaxLabelValue
 	}
 	for _, in := range bad {
 		if _, err := graph.LoadLabeled(strings.NewReader(in)); err == nil {

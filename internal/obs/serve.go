@@ -41,16 +41,6 @@ func (r *Registry) SetCounters(c *stats.Counters) {
 	r.mu.Unlock()
 }
 
-// Counters returns the attached counter set (may be nil).
-func (r *Registry) Counters() *stats.Counters {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters
-}
-
 // SetTracer attaches the tracer served at /trace.
 func (r *Registry) SetTracer(t *Tracer) {
 	if r == nil {
@@ -117,14 +107,6 @@ func (r *Registry) SetHistogram(name string, h *Histogram) {
 		r.hists[name] = h
 	}
 	r.mu.Unlock()
-}
-
-// SetHistograms registers every histogram in hs (a convenience for
-// profiling collectors that expose several at once).
-func (r *Registry) SetHistograms(hs map[string]*Histogram) {
-	for name, h := range hs {
-		r.SetHistogram(name, h)
-	}
 }
 
 type registrySnapshot struct {
@@ -272,7 +254,6 @@ func (r *Registry) PrometheusText() string {
 		gauge("ceci_cardinality_done", float64(p.CardinalityDone))
 		gauge("ceci_cardinality_total", float64(p.CardinalityTotal))
 		gauge("ceci_eta_seconds", p.ETA.Seconds())
-		gauge("ceci_steals", float64(p.Steals))
 		if len(p.WorkerBusy) > 0 {
 			fmt.Fprintf(&b, "# TYPE ceci_worker_busy_seconds gauge\n")
 			for i, d := range p.WorkerBusy {

@@ -137,9 +137,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	r.SetTracer(nil)
 	r.ObserveProgress(Progress{})
 	r.SetSource("x", nil)
-	if r.Counters() != nil {
-		t.Fatal("nil registry counters")
-	}
 	if b, err := r.MetricsJSON(); err != nil || string(b) != "{}" {
 		t.Fatalf("nil MetricsJSON = %q, %v", b, err)
 	}

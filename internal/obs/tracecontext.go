@@ -33,8 +33,8 @@ func (s SpanID) IsZero() bool { return s == SpanID{} }
 // trace every span of the request belongs to, the span the next child
 // should be parented under, and the head-based sampling decision. It is
 // the in-memory form of a W3C `traceparent` header and is what crosses
-// process and machine boundaries (HTTP headers, the cluster TCP
-// protocol) so remote spans stitch into one tree.
+// process boundaries (HTTP headers between router and shards) so remote
+// spans stitch into one tree.
 type TraceContext struct {
 	TraceID TraceID
 	SpanID  SpanID

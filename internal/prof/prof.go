@@ -1,14 +1,13 @@
 // Package prof is the EXPLAIN ANALYZE layer: a concurrency-safe
-// Collector that the index builder (internal/ceci), the enumerator
-// (internal/enum), and the distributed runtime (internal/cluster) feed
-// while executing a query with profiling enabled, and an immutable
+// Collector that the index builder (internal/ceci) and the enumerator
+// (internal/enum) feed while executing a query with profiling enabled, and an immutable
 // Profile snapshot that exposes what the paper's evaluation measures but
 // the code never surfaced — per-query-vertex filter funnels (label /
 // degree / NLC forward pass, reverse-BFS refinement, cascade deletion;
 // Algorithms 1–2), TE/NTE entry counts and bytes, per-NTE set-
 // intersection comparisons versus output size (Section 4.1, Lemma 2),
 // the cluster-cardinality distribution that drives ST/CGD/FGD balancing
-// (Section 4.3, Algorithm 3), and per-worker busy/steal/idle time.
+// (Section 4.3, Algorithm 3), and per-worker busy/idle time.
 //
 // A nil *Collector turns every method into a no-op, and every hot-path
 // call site guards with a single nil check, so profiling disabled costs
@@ -146,7 +145,6 @@ type NTECounters struct {
 type workerSlot struct {
 	busyNS atomic.Int64
 	units  atomic.Int64
-	steals atomic.Int64
 }
 
 // InitQuery sizes the per-vertex state for a query of n vertices whose
@@ -191,7 +189,7 @@ func (v *VertexCounters) AddRemoved(n int64) { v.removed.Add(n) }
 // RecordClusters registers the scheduling outcome of one enumeration:
 // the per-pivot refined cardinalities and the per-unit cardinalities
 // after (possible) ExtremeCluster decomposition. Accumulates across
-// calls so the distributed mode can record per machine.
+// calls.
 func (c *Collector) RecordClusters(strategy string, pivotCards, unitCards []int64) {
 	if c == nil {
 		return
@@ -228,27 +226,6 @@ func (c *Collector) WorkerUnit(id int, d time.Duration) {
 	w.busyNS.Add(int64(d))
 	w.units.Add(1)
 	c.unitSeconds.ObserveDuration(d)
-}
-
-// RecordWorker charges busy time, unit count, and steal count to worker
-// id in one call. The distributed mode uses this — it accounts per
-// machine from the cost ledger at machine exit instead of per unit.
-func (c *Collector) RecordWorker(id int, busy time.Duration, units, steals int64) {
-	if c == nil || id < 0 || id >= len(c.workers) {
-		return
-	}
-	w := &c.workers[id]
-	w.busyNS.Add(int64(busy))
-	w.units.Add(units)
-	w.steals.Add(steals)
-}
-
-// WorkerSteals charges n work-steal transfers to worker id.
-func (c *Collector) WorkerSteals(id int, n int64) {
-	if c == nil || id < 0 || id >= len(c.workers) {
-		return
-	}
-	c.workers[id].steals.Add(n)
 }
 
 // ObserveEnumOutput feeds the candidate-list-size histogram with one

@@ -252,21 +252,7 @@ func (c *Client) Tracez(ctx context.Context, traceID string) ([]byte, error) {
 // JSONL form (parse with obs.ReadSpanJSONL). The shard router uses this
 // to stitch shard subtrees under its own routing span.
 func (c *Client) TracezJSONL(ctx context.Context, traceID string) ([]byte, error) {
-	hresp, err := c.do(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/tracez/"+traceID+"?format=jsonl", nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer hresp.Body.Close()
-	body, err := io.ReadAll(hresp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if hresp.StatusCode != http.StatusOK {
-		return nil, &APIError{StatusCode: hresp.StatusCode, Message: string(body)}
-	}
-	return body, nil
+	return c.Tracez(ctx, traceID+"?format=jsonl")
 }
 
 // Cachez fetches the index-cache statistics.

@@ -3,9 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -13,7 +11,6 @@ import (
 	"ceci/internal/buildinfo"
 	"ceci/internal/graph"
 	"ceci/internal/obs"
-	"ceci/internal/telemetry"
 )
 
 // QueryRequest is the wire form of POST /query. The pattern graph comes
@@ -71,64 +68,34 @@ type HealthResponse struct {
 	ShardOwned  int  `json:"shard_owned,omitempty"`
 }
 
-// QueryzResponse is the wire form of GET /queryz: the flight recorder's
-// view of recent and slowest queries.
-type QueryzResponse struct {
-	// Total counts every query ever recorded, including those evicted
-	// from the ring.
-	Total uint64 `json:"total"`
-	// Recent lists retained queries, newest first.
-	Recent []obs.QueryRecord `json:"recent"`
-	// Slowest lists the K slowest queries ever, slowest first.
-	Slowest []obs.QueryRecord `json:"slowest"`
-}
-
 // Handler returns the engine's HTTP API:
 //
-//	POST /query             run a match request (JSON in/out; accepts and
-//	                        emits W3C traceparent headers)
-//	GET  /healthz           liveness + data graph shape + build identity
-//	GET  /cachez            index cache statistics
-//	GET  /queryz            flight recorder: recent + slowest queries
-//	                        (?format=text for an aligned table;
-//	                        ?limit=N caps each list, ?min_ms=D keeps
-//	                        only queries at least that slow)
-//	GET  /tracez/{traceID}  a sampled query's span tree as Chrome
-//	                        trace_event JSON (?format=jsonl for the
-//	                        compact per-span JSONL form)
-//	GET  /statz             telemetry hub: SLO burn state, per-class
-//	                        costs, time-series rollups (?format=text)
-//	GET  /dashz             self-contained HTML dashboard over /statz
+//	POST /query    run a match request (JSON in/out; accepts and emits
+//	               W3C traceparent headers)
+//	GET  /healthz  liveness + data graph shape + build identity
+//	GET  /cachez   index cache statistics
 //
-// /statz and /dashz require Options.Telemetry. When the engine has a
-// Registry, its telemetry routes (/metrics, /metrics.json, /trace,
-// /debug/pprof/) are mounted as the fallback.
+// plus the shared introspection routes of MountIntrospection (/queryz,
+// /tracez/{traceID}, /statz and /dashz with Options.Telemetry, and the
+// Registry's metric routes as the fallback).
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", e.handleQuery)
 	mux.HandleFunc("GET /healthz", e.handleHealthz)
 	mux.HandleFunc("GET /cachez", e.handleCachez)
-	mux.HandleFunc("GET /queryz", e.handleQueryz)
-	mux.HandleFunc("GET /tracez/{traceID}", e.handleTracez)
-	if e.opts.Telemetry != nil {
-		mux.HandleFunc("GET /statz", e.handleStatz)
-		mux.HandleFunc("GET /dashz", e.handleDashz)
-	}
-	if reg := e.opts.Registry; reg != nil {
-		mux.Handle("/", reg.Handler())
-	}
+	MountIntrospection(mux, e.flight, e.opts.Telemetry, e.opts.Registry)
 	return mux
 }
 
 func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var wire QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad JSON: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
-	q, err := wire.queryGraph()
+	q, err := wire.Graph()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
 		return
 	}
 	req := Request{
@@ -180,7 +147,7 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 			wire2.Partial = true
 		}
 	}
-	writeJSON(w, status, wire2)
+	WriteJSON(w, status, wire2)
 }
 
 func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -202,7 +169,7 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		h.ShardRadius = sc.Radius
 		h.ShardOwned = len(sc.OwnedLocals)
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // serverTiming renders the Server-Timing response header: the query's
@@ -223,150 +190,24 @@ func serverTiming(e *Engine, resp *Response) string {
 	return s
 }
 
-// queryzFilters are the /queryz list filters parsed from the URL.
-type queryzFilters struct {
-	limit int           // max records per list; 0 = unlimited
-	minMS time.Duration // keep only queries at least this slow
-}
-
-// parseQueryzFilters validates ?limit= and ?min_ms=. Both are optional;
-// negative or non-numeric values are rejected.
-func parseQueryzFilters(q url.Values) (queryzFilters, error) {
-	var f queryzFilters
-	if s := q.Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return f, fmt.Errorf("bad limit %q: want a non-negative integer", s)
-		}
-		f.limit = n
-	}
-	if s := q.Get("min_ms"); s != "" {
-		ms, err := strconv.ParseFloat(s, 64)
-		if err != nil || ms < 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
-			return f, fmt.Errorf("bad min_ms %q: want a non-negative number", s)
-		}
-		f.minMS = time.Duration(ms * float64(time.Millisecond))
-	}
-	return f, nil
-}
-
-// apply filters one record list (order preserved).
-func (f queryzFilters) apply(recs []obs.QueryRecord) []obs.QueryRecord {
-	if f.minMS > 0 {
-		kept := recs[:0]
-		for _, r := range recs {
-			if time.Duration(r.TotalUS)*time.Microsecond >= f.minMS {
-				kept = append(kept, r)
-			}
-		}
-		recs = kept
-	}
-	if f.limit > 0 && len(recs) > f.limit {
-		recs = recs[:f.limit]
-	}
-	return recs
-}
-
-// handleQueryz serves the flight recorder: JSON by default, an aligned
-// text table with ?format=text. ?limit= and ?min_ms= filter both lists.
-func (e *Engine) handleQueryz(w http.ResponseWriter, r *http.Request) {
-	f, err := parseQueryzFilters(r.URL.Query())
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	recent := f.apply(e.flight.Recent())
-	slowest := f.apply(e.flight.Slowest())
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, obs.RecordsText(recent, slowest))
-		return
-	}
-	writeJSON(w, http.StatusOK, QueryzResponse{
-		Total:   e.flight.Total(),
-		Recent:  recent,
-		Slowest: slowest,
-	})
-}
-
-// handleStatz serves the telemetry hub's full view: SLO burn state,
-// per-class costs, and time-series rollups. JSON by default,
-// ?format=text for aligned tables.
-func (e *Engine) handleStatz(w http.ResponseWriter, r *http.Request) {
-	h := e.opts.Telemetry
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, h.StatzText())
-		return
-	}
-	b, err := h.StatzJSON()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-}
-
-// handleDashz serves the self-contained HTML dashboard.
-func (e *Engine) handleDashz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, telemetry.DashzHTML)
-}
-
-// handleTracez serves one query's span tree by trace ID: Chrome
-// trace_event JSON by default (load in chrome://tracing or Perfetto),
-// the compact per-span JSONL form with ?format=jsonl.
-func (e *Engine) handleTracez(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("traceID")
-	rec, ok := e.flight.Find(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "trace " + id + " not found (evicted, or never ran here)"})
-		return
-	}
-	if len(rec.Spans) == 0 {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "trace " + id + " was not sampled: no spans recorded"})
-		return
-	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/jsonl")
-		obs.WriteSpanJSONL(w, rec.Spans)
-		return
-	}
-	doc, err := obs.ChromeTrace(rec.Spans)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(doc)
-}
-
 func (e *Engine) handleCachez(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, e.cache.stats())
+	WriteJSON(w, http.StatusOK, e.cache.stats())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// Graph materializes the pattern graph from whichever wire form is
-// set. Exported for the shard router, which inspects the query (radius
-// guard) before scattering it across the fleet.
-func (q *QueryRequest) Graph() (*graph.Graph, error) { return q.queryGraph() }
-
-// queryGraph materializes the pattern from whichever wire form is set.
-func (q *QueryRequest) queryGraph() (*graph.Graph, error) {
+// Graph materializes the pattern graph from whichever wire form is set.
+// Every error wraps ErrBadQuery. The shard router calls it too, to
+// inspect the query (radius guard) before scattering it across the
+// fleet.
+func (q *QueryRequest) Graph() (*graph.Graph, error) {
 	hasText := q.Query != ""
 	hasInline := len(q.Labels) > 0
 	switch {
 	case hasText && hasInline:
 		return nil, fmt.Errorf("%w: give either query text or labels/edges, not both", ErrBadQuery)
 	case hasText:
+		if err := checkTextIDs(q.Query); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		}
 		g, err := graph.LoadLabeled(strings.NewReader(q.Query))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
@@ -376,6 +217,9 @@ func (q *QueryRequest) queryGraph() (*graph.Graph, error) {
 		n := len(q.Labels)
 		b := graph.NewBuilder(n)
 		for v, l := range q.Labels {
+			if l > graph.MaxLabelValue {
+				return nil, fmt.Errorf("%w: vertex %d label %d out of range [0,%d]", ErrBadQuery, v, l, graph.MaxLabelValue)
+			}
 			b.SetLabel(graph.VertexID(v), l)
 		}
 		for _, e := range q.Edges {
@@ -392,4 +236,30 @@ func (q *QueryRequest) queryGraph() (*graph.Graph, error) {
 	default:
 		return nil, fmt.Errorf("%w: no query given", ErrBadQuery)
 	}
+}
+
+// checkTextIDs rejects .lg query text that names a vertex id at or
+// beyond the text's own length, before the parser allocates for it.
+// Every vertex of a connected pattern appears on some line, so a
+// connected query has fewer vertices than its text has bytes; a larger
+// id can only describe a pattern with isolated vertices, while
+// allocating for it (a single "v 4000000000 0" line) would exhaust the
+// server's memory.
+func checkTextIDs(text string) error {
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		var ids []string
+		switch {
+		case len(f) >= 3 && f[0] == "v":
+			ids = f[1:2]
+		case len(f) >= 3 && f[0] == "e":
+			ids = f[1:3]
+		}
+		for _, s := range ids {
+			if id, err := strconv.ParseUint(s, 10, 32); err == nil && id >= uint64(len(text)) {
+				return fmt.Errorf("vertex id %d out of range for a %d-byte query", id, len(text))
+			}
+		}
+	}
+	return nil
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -135,8 +134,9 @@ func TestTracedQueryEndToEnd(t *testing.T) {
 }
 
 // TestTracedQueryHeaderEgress checks the raw HTTP surfaces: traceparent
-// response header, text-format /queryz, JSONL-format /tracez, and the
-// 404s for unknown or unsampled traces.
+// response header and JSONL-format /tracez. (The /queryz text form and
+// the /tracez 404s are checked on both servers by the introspection
+// table tests.)
 func TestTracedQueryHeaderEgress(t *testing.T) {
 	srv, client, _ := traceTestServer(t, Options{
 		Tracer: obs.NewTracer(obs.TracerOptions{}),
@@ -161,20 +161,6 @@ func TestTracedQueryHeaderEgress(t *testing.T) {
 		t.Fatalf("header trace %s != body trace %s", tc.TraceID, out.TraceID)
 	}
 
-	// Text table form of the flight recorder mentions the query.
-	treq, err := srv.Client().Get(srv.URL + "/queryz?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	txt, err := io.ReadAll(treq.Body)
-	treq.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(txt), tc.TraceID.String()) {
-		t.Fatalf("text table missing trace id:\n%s", txt)
-	}
-
 	// JSONL form of the trace: every line parses alone.
 	raw, err := client.Tracez(context.Background(), out.TraceID+"?format=jsonl")
 	if err != nil {
@@ -186,16 +172,11 @@ func TestTracedQueryHeaderEgress(t *testing.T) {
 			t.Fatalf("bad JSONL line %q: %v", line, err)
 		}
 	}
-
-	// Unknown trace: 404.
-	if _, err := client.Tracez(context.Background(), strings.Repeat("0", 31)+"1"); err == nil {
-		t.Fatal("tracez for unknown ID succeeded")
-	}
 }
 
 // TestUnsampledQueryRecordedWithoutSpans: with sampling off, queries
 // still land in the flight recorder (with a trace ID) but carry no
-// spans, and /tracez answers 404 for them.
+// spans. (The /tracez 404 for them is checked by TestTracezNotFoundHTTP.)
 func TestUnsampledQueryRecordedWithoutSpans(t *testing.T) {
 	_, client, eng := traceTestServer(t, Options{
 		Tracer:      obs.NewTracer(obs.TracerOptions{}),
@@ -214,9 +195,6 @@ func TestUnsampledQueryRecordedWithoutSpans(t *testing.T) {
 	}
 	if rec.Sampled || len(rec.Spans) != 0 {
 		t.Fatalf("unsampled query recorded spans: %+v", rec)
-	}
-	if _, err := client.Tracez(context.Background(), resp.TraceID); err == nil {
-		t.Fatal("tracez served an unsampled trace")
 	}
 	// The tracer recorded nothing for the request either.
 	if got := len(eng.opts.Tracer.Tree()); got != 0 {

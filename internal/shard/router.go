@@ -21,8 +21,11 @@ import (
 )
 
 // Replica is one shard server the router can send a leg to. Health
-// state is maintained by the background checker; inflight counts the
-// router's own outstanding requests (the least-loaded policy's signal).
+// state is maintained by the background checker: a replica starts
+// eligible and only HealthFails consecutive failed probes exclude it,
+// so queries racing the first probe still see the whole replica list.
+// inflight counts the router's own outstanding requests (the
+// least-loaded policy's signal).
 type Replica struct {
 	Shard int
 	URL   string
@@ -37,7 +40,9 @@ type Replica struct {
 	lastErr  atomic.Value // string
 }
 
-// Healthy reports whether the replica passed its latest probes.
+// Healthy reports whether the replica is eligible for queries: true
+// until HealthFails consecutive probes fail, and again after one
+// success.
 func (r *Replica) Healthy() bool { return r.healthy.Load() }
 
 // Checked reports whether the replica has ever passed a probe.
@@ -189,8 +194,8 @@ type Router struct {
 }
 
 // NewRouter builds a Router over the given fleet. Call Start to begin
-// health checking (until then every replica is unchecked and scatter
-// falls back to trying all of them).
+// health checking (until then every replica is unchecked but eligible,
+// and Ready reports false).
 func NewRouter(opts RouterOptions) (*Router, error) {
 	o := opts.withDefaults()
 	if len(o.Shards) == 0 {
@@ -215,6 +220,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 				healthc: service.NewClient(u, o.HTTPClient),
 			}
 			rep.healthc.SetRetry(1, 0, 0) // probes are their own retry loop
+			rep.healthy.Store(true)
 			rep.lastErr.Store("")
 			reps = append(reps, rep)
 		}
@@ -330,30 +336,21 @@ func (rt *Router) probe(rep *Replica) {
 
 // Handler returns the router's HTTP API:
 //
-//	POST /query             scatter-gather a match request across shards
-//	GET  /healthz           liveness (+ ?ready=1: 503 until every shard
-//	                        has a probed-healthy replica)
-//	GET  /shardz            per-replica health, load, and last error
-//	GET  /queryz            router flight recorder (?format=text)
-//	GET  /tracez/{traceID}  stitched span tree spanning router + shards
-//	GET  /statz, /dashz     telemetry hub (requires Options.Telemetry)
+//	POST /query    scatter-gather a match request across shards
+//	GET  /healthz  liveness (+ ?ready=1: 503 until every shard has a
+//	               probed-healthy replica)
+//	GET  /shardz   per-replica health, load, and last error
+//
+// plus the shared introspection routes of service.MountIntrospection
+// over the router's own flight recorder: /queryz, /tracez/{traceID}
+// (the span tree stitched across router and shards), /statz and /dashz
+// with Options.Telemetry, and the Registry's metric routes.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", rt.handleQuery)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /shardz", rt.handleShardz)
-	mux.HandleFunc("GET /queryz", rt.handleQueryz)
-	mux.HandleFunc("GET /tracez/{traceID}", rt.handleTracez)
-	if rt.opts.Telemetry != nil {
-		mux.HandleFunc("GET /statz", rt.handleStatz)
-		mux.HandleFunc("GET /dashz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			fmt.Fprint(w, telemetry.DashzHTML)
-		})
-	}
-	if reg := rt.opts.Registry; reg != nil {
-		mux.Handle("/", reg.Handler())
-	}
+	service.MountIntrospection(mux, rt.flight, rt.opts.Telemetry, rt.opts.Registry)
 	return mux
 }
 
@@ -382,28 +379,29 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { rt.latency.ObserveDuration(time.Since(start)) }()
 
+	badRequest := func(msg string) {
+		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: msg}})
+	}
 	var wire service.QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "bad JSON: " + err.Error()}})
+		badRequest("bad JSON: " + err.Error())
 		return
 	}
 	q, err := wire.Graph()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: err.Error()}})
+		badRequest(err.Error())
 		return
 	}
 	if !q.Connected() {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "query graph must be connected"}})
+		badRequest("query graph must be connected")
 		return
 	}
 	if _, ecc := order.Anchor(q); ecc > rt.opts.Radius {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{
-			Error: fmt.Sprintf("query anchor eccentricity %d exceeds fleet halo radius %d; repartition with a larger -radius", ecc, rt.opts.Radius),
-		}})
+		badRequest(fmt.Sprintf("query anchor eccentricity %d exceeds fleet halo radius %d; repartition with a larger -radius", ecc, rt.opts.Radius))
 		return
 	}
 	if wire.Offset < 0 || wire.Limit < 0 {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "negative limit/offset"}})
+		badRequest("negative limit/offset")
 		return
 	}
 
@@ -489,7 +487,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("traceparent", tcOut.Traceparent())
 	}
 	rt.finish(tc, span, q, resp, status, start, results)
-	writeJSON(w, status, resp)
+	service.WriteJSON(w, status, resp)
 }
 
 // queryShard runs one scatter leg: pick replicas by policy, launch
@@ -503,11 +501,8 @@ func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRe
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
 
-	reps := rt.pickReplicas(shard)
-	if len(reps) == 0 {
-		return shardResult{shard: shard, err: fmt.Errorf("shard %d: no replicas configured", shard)}
-	}
-	ordered, parallel := rt.opts.Policy.Pick(shard, reps)
+	ordered, parallel := rt.opts.Policy.Pick(shard, rt.shards[shard])
+	ordered = withoutExcluded(ordered)
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel() // first usable response wins; losers are cancelled
@@ -580,21 +575,22 @@ func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRe
 	return last
 }
 
-// pickReplicas returns the shard's healthy replicas, falling back to
-// all of them when none are (a probe may lag a just-restarted shard;
-// trying is strictly better than refusing).
-func (rt *Router) pickReplicas(shard int) []*Replica {
-	all := rt.shards[shard]
-	healthy := make([]*Replica, 0, len(all))
-	for _, rep := range all {
+// withoutExcluded drops the replicas health checking has excluded from
+// a policy's ordering. The policy always sees the stable full replica
+// list, so its rotation stays fair while health changes. When every
+// replica is excluded the whole order is kept: a probe may lag a
+// just-restarted shard, and trying is strictly better than refusing.
+func withoutExcluded(ordered []*Replica) []*Replica {
+	kept := make([]*Replica, 0, len(ordered))
+	for _, rep := range ordered {
 		if rep.Healthy() {
-			healthy = append(healthy, rep)
+			kept = append(kept, rep)
 		}
 	}
-	if len(healthy) == 0 {
-		return all
+	if len(kept) == 0 {
+		return ordered
 	}
-	return healthy
+	return kept
 }
 
 // merge folds the scatter legs into one RouteResponse. Counts add,
@@ -751,7 +747,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("ready") == "1" && !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, RouterHealth{
+	service.WriteJSON(w, status, RouterHealth{
 		Status: "ok",
 		Ready:  ready,
 		Shards: len(rt.shards),
@@ -778,69 +774,5 @@ func (rt *Router) handleShardz(w http.ResponseWriter, _ *http.Request) {
 		}
 		out.Shards = append(out.Shards, row)
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) handleQueryz(w http.ResponseWriter, r *http.Request) {
-	recent := rt.flight.Recent()
-	slowest := rt.flight.Slowest()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, obs.RecordsText(recent, slowest))
-		return
-	}
-	writeJSON(w, http.StatusOK, service.QueryzResponse{
-		Total:   rt.flight.Total(),
-		Recent:  recent,
-		Slowest: slowest,
-	})
-}
-
-func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("traceID")
-	rec, ok := rt.flight.Find(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "trace " + id + " not found (evicted, or never routed here)"})
-		return
-	}
-	if len(rec.Spans) == 0 {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "trace " + id + " was not sampled: no spans recorded"})
-		return
-	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/jsonl")
-		obs.WriteSpanJSONL(w, rec.Spans)
-		return
-	}
-	doc, err := obs.ChromeTrace(rec.Spans)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(doc)
-}
-
-func (rt *Router) handleStatz(w http.ResponseWriter, r *http.Request) {
-	h := rt.opts.Telemetry
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, h.StatzText())
-		return
-	}
-	b, err := h.StatzJSON()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	service.WriteJSON(w, http.StatusOK, out)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -225,22 +226,31 @@ func TestRouterTraceStitching(t *testing.T) {
 
 // stubShard is a fake shard server for routing-behavior tests: answers
 // readiness, records hits and the propagated deadline, and can stall.
+// A non-nil healthGate holds every /healthz answer until it is closed.
 type stubShard struct {
 	hits        atomic.Int64
 	lastTimeout atomic.Int64
 	delay       time.Duration
 	resp        service.QueryResponse
+	healthGate  chan struct{}
 }
 
 func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/healthz":
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "ready": true})
+		if s.healthGate != nil {
+			select {
+			case <-s.healthGate:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		service.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "ready": true})
 	case "/query":
 		s.hits.Add(1)
 		var wire service.QueryRequest
 		if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-			writeJSON(w, http.StatusBadRequest, service.QueryResponse{Error: err.Error()})
+			service.WriteJSON(w, http.StatusBadRequest, service.QueryResponse{Error: err.Error()})
 			return
 		}
 		s.lastTimeout.Store(wire.TimeoutMS)
@@ -251,14 +261,14 @@ func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		writeJSON(w, http.StatusOK, s.resp)
+		service.WriteJSON(w, http.StatusOK, s.resp)
 	default:
 		http.NotFound(w, r)
 	}
 }
 
 // stubRouter builds a router over stub replicas for one shard.
-func stubRouter(t *testing.T, stubs []*stubShard, ropts RouterOptions) *httptest.Server {
+func stubRouter(t *testing.T, stubs []*stubShard, ropts RouterOptions) (*Router, *httptest.Server) {
 	t.Helper()
 	urls := make([]string, len(stubs))
 	for i, s := range stubs {
@@ -278,7 +288,7 @@ func stubRouter(t *testing.T, stubs []*stubShard, ropts RouterOptions) *httptest
 	t.Cleanup(rt.Stop)
 	rsrv := httptest.NewServer(rt.Handler())
 	t.Cleanup(rsrv.Close)
-	return rsrv
+	return rt, rsrv
 }
 
 // edgeWire is the minimal routable query: a connected 2-path.
@@ -290,13 +300,53 @@ func edgeWire() service.QueryRequest {
 // the rotation must land two primaries on each.
 func TestRoundRobinSpreadsPrimaries(t *testing.T) {
 	stubs := []*stubShard{{resp: service.QueryResponse{Count: 1}}, {resp: service.QueryResponse{Count: 1}}, {resp: service.QueryResponse{Count: 1}}}
-	rsrv := stubRouter(t, stubs, RouterOptions{Policy: NewRoundRobin()})
+	_, rsrv := stubRouter(t, stubs, RouterOptions{Policy: NewRoundRobin()})
 	for i := 0; i < 6; i++ {
 		resp, status := postRoute(t, rsrv.URL, edgeWire())
 		if status != http.StatusOK || resp.Count != 1 {
 			t.Fatalf("query %d: status %d count %d", i, status, resp.Count)
 		}
 	}
+	for i, s := range stubs {
+		if got := s.hits.Load(); got != 2 {
+			t.Errorf("replica %d served %d queries, want 2", i, got)
+		}
+	}
+}
+
+// TestRoundRobinFairDuringWarmup: queries that race the first health
+// probes must still rotate over every replica. Replica 0 answers its
+// probe at once while replicas 1 and 2 hold theirs until after the
+// queries, so the replicas' probe states differ throughout; unprobed
+// replicas stay eligible, and the rotation lands two primaries on each.
+func TestRoundRobinFairDuringWarmup(t *testing.T) {
+	gate := make(chan struct{})
+	stubs := []*stubShard{
+		{resp: service.QueryResponse{Count: 1}},
+		{resp: service.QueryResponse{Count: 1}, healthGate: gate},
+		{resp: service.QueryResponse{Count: 1}, healthGate: gate},
+	}
+	rt, rsrv := stubRouter(t, stubs, RouterOptions{Policy: NewRoundRobin(), HealthTimeout: time.Minute})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before the servers and the router stop
+
+	reps := rt.shards[0]
+	for deadline := time.Now().Add(10 * time.Second); !reps[0].Checked(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("replica 0 never passed its first probe")
+		}
+	}
+	for i := 0; i < 6; i++ {
+		resp, status := postRoute(t, rsrv.URL, edgeWire())
+		if status != http.StatusOK || resp.Count != 1 {
+			t.Fatalf("query %d: status %d count %d", i, status, resp.Count)
+		}
+	}
+	if reps[1].Checked() || reps[2].Checked() {
+		t.Fatal("gated probes completed before the queries ended")
+	}
+	release()
 	for i, s := range stubs {
 		if got := s.hits.Load(); got != 2 {
 			t.Errorf("replica %d served %d queries, want 2", i, got)
@@ -312,7 +362,7 @@ func TestBroadcastQueriesEveryReplica(t *testing.T) {
 		{resp: service.QueryResponse{Count: 7}, delay: 30 * time.Millisecond},
 		{resp: service.QueryResponse{Count: 7}, delay: 30 * time.Millisecond},
 	}
-	rsrv := stubRouter(t, stubs, RouterOptions{Policy: Broadcast{}})
+	_, rsrv := stubRouter(t, stubs, RouterOptions{Policy: Broadcast{}})
 	resp, status := postRoute(t, rsrv.URL, edgeWire())
 	if status != http.StatusOK || resp.Count != 7 {
 		t.Fatalf("status %d count %d", status, resp.Count)
@@ -330,7 +380,7 @@ func TestBroadcastQueriesEveryReplica(t *testing.T) {
 func TestHedgedRequestBeatsStraggler(t *testing.T) {
 	slow := &stubShard{resp: service.QueryResponse{Count: 3}, delay: 2 * time.Second}
 	fast := &stubShard{resp: service.QueryResponse{Count: 3}}
-	rsrv := stubRouter(t, []*stubShard{slow, fast}, RouterOptions{
+	_, rsrv := stubRouter(t, []*stubShard{slow, fast}, RouterOptions{
 		Policy: NewRoundRobin(), // first query's primary is replica 0 (slow)
 		Hedge:  20 * time.Millisecond,
 	})
@@ -355,7 +405,7 @@ func TestHedgedRequestBeatsStraggler(t *testing.T) {
 // the caller's budget minus the router's merge margin, never more.
 func TestDeadlinePropagation(t *testing.T) {
 	stub := &stubShard{resp: service.QueryResponse{Count: 0}}
-	rsrv := stubRouter(t, []*stubShard{stub}, RouterOptions{DeadlineMargin: 100 * time.Millisecond})
+	_, rsrv := stubRouter(t, []*stubShard{stub}, RouterOptions{DeadlineMargin: 100 * time.Millisecond})
 	wire := edgeWire()
 	wire.TimeoutMS = 1000
 	if _, status := postRoute(t, rsrv.URL, wire); status != http.StatusOK {

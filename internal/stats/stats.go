@@ -33,9 +33,9 @@ type Counters struct {
 	FilteredRefine    atomic.Int64 // dropped by reverse-BFS refinement
 	IndexBytes        atomic.Int64
 	PageLoads         atomic.Int64 // dualsim: slotted page loads
-	StealAttempts     atomic.Int64 // cluster: work-steal RPCs
-	MessagesSent      atomic.Int64
-	BytesOnWire       atomic.Int64
+	StealAttempts     atomic.Int64 // no producer; kept for the stable ceci_*_total schema
+	MessagesSent      atomic.Int64 // no producer; kept for the stable ceci_*_total schema
+	BytesOnWire       atomic.Int64 // diskcsr: bytes read from the CSR file
 	RemoteReads       atomic.Int64 // shared-storage graph accesses
 	UnitsScheduled    atomic.Int64 // work units handed to enumeration workers
 	ExtremeSplits     atomic.Int64 // extra units from ExtremeCluster decomposition (Alg. 3)
