@@ -17,19 +17,21 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable regression tracking: run the fixed suite and write
-# BENCH_<name>.json. Refresh the committed baseline with
+# BENCH_<name>.json at 1 worker: the committed baseline is a 1-worker
+# run, and -compare refuses a run whose worker count differs from the
+# baseline's. Refresh the committed baseline with
 # `make bench-json BENCH_DIR=cmd/cecibench/testdata BENCH_NAME=baseline`.
 BENCH_DIR ?= bench
 BENCH_NAME ?= bench
 BENCH_THRESHOLD ?= 0.25
 bench-json:
-	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME)
+	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME) -workers 1
 
 # Run the suite and fail (exit non-zero) on regression vs the committed
 # baseline. Timing thresholds assume the same machine as the baseline;
 # CI uses a much looser threshold (see .github/workflows/ci.yml).
 bench-compare:
-	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME) \
+	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME) -workers 1 \
 		-compare cmd/cecibench/testdata/BENCH_baseline.json -threshold $(BENCH_THRESHOLD)
 
 # Allocation profile of the enumeration hot path: the strict
@@ -47,7 +49,7 @@ bench-allocs:
 # silently shifts work between kernels fails here.
 bench-kernels:
 	$(GO) test -bench 'BenchmarkKernel' -benchmem ./internal/setops
-	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME) \
+	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME) -workers 1 \
 		-compare cmd/cecibench/testdata/BENCH_baseline.json -threshold $(BENCH_THRESHOLD)
 
 vet:

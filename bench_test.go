@@ -184,7 +184,7 @@ func BenchmarkFig11_Decompose(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		units := workload.Decompose(ix, nil, 0.2, 16)
-		if len(units) == 0 {
+		if units.Len() == 0 {
 			b.Fatal("no units")
 		}
 	}

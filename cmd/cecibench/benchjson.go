@@ -138,6 +138,9 @@ func runBenchJSON(cfg benchJSONConfig) error {
 		if err != nil {
 			return fmt.Errorf("-compare: %w", err)
 		}
+		if err := checkComparable(base, cur); err != nil {
+			return fmt.Errorf("-compare %s: %w", cfg.compare, err)
+		}
 		regressions := compareBench(os.Stdout, base, cur, cfg.threshold)
 		if regressions > 0 {
 			return fmt.Errorf("%d regression(s) vs %s (threshold %.0f%%)",
@@ -146,6 +149,32 @@ func runBenchJSON(cfg benchJSONConfig) error {
 		fmt.Printf("no regressions vs %s (threshold %.0f%%)\n", cfg.compare, 100*cfg.threshold)
 	}
 	return nil
+}
+
+// checkComparable refuses a comparison whose runs differ in worker count
+// or Go release: either one moves the allocation and timing figures by
+// more than any regression the gate is meant to catch (a 2-worker run
+// reads as a +150–380% allocs/op jump against a 1-worker baseline).
+// Patch levels of one release (go1.24.0 vs go1.24.7) are accepted.
+func checkComparable(base, cur *BenchResult) error {
+	if base.Workers != cur.Workers {
+		return fmt.Errorf("baseline ran %d workers, candidate %d (pass -workers %d)",
+			base.Workers, cur.Workers, base.Workers)
+	}
+	if goRelease(base.GoVersion) != goRelease(cur.GoVersion) {
+		return fmt.Errorf("baseline built with %s, candidate with %s", base.GoVersion, cur.GoVersion)
+	}
+	return nil
+}
+
+// goRelease strips the patch level from a runtime.Version string:
+// "go1.24.7" -> "go1.24". Other forms (go1.24rc1, devel builds) are
+// returned unchanged.
+func goRelease(v string) string {
+	if parts := strings.SplitN(v, ".", 3); len(parts) == 3 {
+		return parts[0] + "." + parts[1]
+	}
+	return v
 }
 
 func loadBenchResult(path string) (*BenchResult, error) {

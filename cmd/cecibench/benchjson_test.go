@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -129,6 +130,53 @@ func TestBenchResultFileRoundTrip(t *testing.T) {
 	}
 	if got.Name != "x" || len(got.Cases) != 1 || got.Cases[0].TotalNS != 1e9 {
 		t.Fatalf("round trip = %+v", got)
+	}
+}
+
+// TestCompareRefusesMismatchedRuns: -compare must refuse, not gate, a
+// candidate whose worker count or Go release differs from the baseline's,
+// and must accept another patch level of the baseline's release.
+func TestCompareRefusesMismatchedRuns(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, r *BenchResult) string {
+		path := filepath.Join(dir, name)
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	run := func(base, cur *BenchResult) error {
+		return runBenchJSON(benchJSONConfig{
+			compare:   write("base.json", base),
+			candidate: write("cur.json", cur),
+			threshold: 0.25,
+		})
+	}
+	mk := func(workers int, gover string) *BenchResult {
+		return &BenchResult{GoVersion: gover, Workers: workers, Cases: []CaseResult{benchCase(1e9)}}
+	}
+	for _, gover := range []string{"go1.24.0", "go1.24.7"} {
+		if err := run(mk(1, "go1.24.0"), mk(1, gover)); err != nil {
+			t.Fatalf("%s against a go1.24.0 baseline refused: %v", gover, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cur  *BenchResult
+		want string
+	}{
+		{"workers", mk(2, "go1.24.0"), "workers"},
+		{"go_release", mk(1, "go1.25.0"), "go1.25.0"},
+		{"go_prerelease", mk(1, "go1.24rc1"), "go1.24rc1"},
+	} {
+		err := run(mk(1, "go1.24.0"), tc.cur)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s mismatch: err = %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

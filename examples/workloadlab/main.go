@@ -44,12 +44,10 @@ func main() {
 	for _, beta := range []float64{1.0, 0.5, 0.2, 0.1, 0.05} {
 		units := workload.Decompose(ix, cons, beta, workers)
 		maxCard := int64(0)
-		for _, u := range units {
-			if u.Card > maxCard {
-				maxCard = u.Card
-			}
+		for i := 0; i < units.Len(); i++ {
+			maxCard = max(maxCard, units.Unit(i).Card)
 		}
-		fmt.Printf("  beta=%-5v units=%-7d largest-unit-cardinality=%d\n", beta, len(units), maxCard)
+		fmt.Printf("  beta=%-5v units=%-7d largest-unit-cardinality=%d\n", beta, units.Len(), maxCard)
 	}
 
 	// Measure real per-unit costs once, then compare the strategies'

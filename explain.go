@@ -2,6 +2,7 @@ package ceci
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -53,12 +54,7 @@ func (m *Matcher) Explain() string {
 	fmt.Fprintf(&b, "clusters: %d pivots, cardinality bound %d",
 		info.Pivots, info.TotalCardinality)
 	if info.Pivots > 0 {
-		var max int64
-		for _, p := range m.index.Pivots() {
-			if c := m.index.ClusterCardinality(p); c > max {
-				max = c
-			}
-		}
+		max := slices.Max(m.index.ClusterCards())
 		fmt.Fprintf(&b, " (largest cluster %d", max)
 		if info.TotalCardinality > 0 {
 			fmt.Fprintf(&b, ", %.1f%% of total", 100*float64(max)/float64(info.TotalCardinality))

@@ -115,6 +115,38 @@ func (c *Constraints) Allows(u graph.VertexID, v graph.VertexID, m []graph.Verte
 	return true
 }
 
+// The open interval Bounds returns when no matched member constrains u:
+// every data vertex ID lies strictly inside it.
+const (
+	NoLower int64 = -1
+	NoUpper int64 = 1 << 32
+)
+
+// Bounds returns the open interval (lo, hi) that Allows enforces for u:
+// above the match of every matched Less[u] member and below the match of
+// every matched Greater[u] member, so Allows(u, v, m, matched) holds
+// exactly when lo < v < hi. The enumerator clips sorted candidate lists
+// to this interval before intersecting them, instead of filtering the
+// intersection's output. A nil receiver (symmetry breaking disabled) and
+// an unconstrained u give (NoLower, NoUpper).
+func (c *Constraints) Bounds(u graph.VertexID, m []graph.VertexID, matched []bool) (lo, hi int64) {
+	lo, hi = NoLower, NoUpper
+	if c == nil {
+		return lo, hi
+	}
+	for _, w := range c.Less[u] {
+		if matched[w] && int64(m[w]) > lo {
+			lo = int64(m[w])
+		}
+	}
+	for _, w := range c.Greater[u] {
+		if matched[w] && int64(m[w]) < hi {
+			hi = int64(m[w])
+		}
+	}
+	return lo, hi
+}
+
 // OrbitSize returns the product of class factorials: the number of
 // automorphisms induced by the equivalence classes. Useful to convert a
 // constrained count into a raw (automorphism-inclusive) count in tests.

@@ -45,38 +45,6 @@ func (b Bits) Count() int {
 	return n
 }
 
-// And stores a & b into dst word by word over the shortest common word
-// length and returns the number of words written. dst may alias a or b;
-// words of dst beyond the common length are left untouched.
-func And(dst, a, b Bits) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if len(dst) < n {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = a[i] & b[i]
-	}
-	return n
-}
-
-// AndCount returns the number of bits set in a & b (over the shortest
-// common word length) without materializing the result — one popcount
-// per word, the word-parallel core of the dense intersection-size path.
-func AndCount(a, b Bits) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(a[i] & b[i])
-	}
-	return c
-}
-
 // Span is a reusable span-offset bitmap: one bit per value in the window
 // [Lo(), Hi()], where Lo is aligned down to a word boundary from the
 // first value of the filled list. It backs the probe intersection kernel

@@ -64,71 +64,6 @@ func TestResetAndCount(t *testing.T) {
 	}
 }
 
-func TestAndAndCount(t *testing.T) {
-	const n = 512
-	a, b := New(n), New(n)
-	ref := make([]bool, n)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < n; i++ {
-		sa, sb := rng.Intn(2) == 0, rng.Intn(2) == 0
-		if sa {
-			a.Set(uint32(i))
-		}
-		if sb {
-			b.Set(uint32(i))
-		}
-		ref[i] = sa && sb
-	}
-	wantCount := 0
-	for _, v := range ref {
-		if v {
-			wantCount++
-		}
-	}
-	if got := AndCount(a, b); got != wantCount {
-		t.Fatalf("AndCount = %d, want %d", got, wantCount)
-	}
-	dst := New(n)
-	if w := And(dst, a, b); w != len(dst) {
-		t.Fatalf("And wrote %d words, want %d", w, len(dst))
-	}
-	for i := 0; i < n; i++ {
-		if dst.Get(uint32(i)) != ref[i] {
-			t.Fatalf("And bit %d = %v, want %v", i, dst.Get(uint32(i)), ref[i])
-		}
-	}
-	if got := dst.Count(); got != wantCount {
-		t.Fatalf("dst.Count = %d, want %d", got, wantCount)
-	}
-	// dst may alias an input.
-	if w := And(a, a, b); w != len(a) {
-		t.Fatalf("aliased And wrote %d words", w)
-	}
-	for i := 0; i < n; i++ {
-		if a.Get(uint32(i)) != ref[i] {
-			t.Fatalf("aliased And bit %d wrong", i)
-		}
-	}
-}
-
-func TestAndShortestCommonLength(t *testing.T) {
-	a, b := New(128), New(256)
-	a.Set(100)
-	b.Set(100)
-	b.Set(200)
-	dst := New(256)
-	dst.Set(200) // beyond common length: must be left untouched
-	if w := And(dst, a, b); w != 2 {
-		t.Fatalf("And over mismatched lengths wrote %d words, want 2", w)
-	}
-	if !dst.Get(100) || !dst.Get(200) {
-		t.Fatal("And clobbered words beyond the common length")
-	}
-	if got := AndCount(a, b); got != 1 {
-		t.Fatalf("AndCount over mismatched lengths = %d, want 1", got)
-	}
-}
-
 func TestChunkBuilderFill(t *testing.T) {
 	var c ChunkBuilder
 	vals := []uint32{0, 1, 63, 64, 100, ChunkBits - 1, ChunkBits, ChunkBits + 5}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ceci/internal/auto"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
 	"ceci/internal/order"
@@ -120,9 +121,9 @@ func TestStableCacheEquivalence(t *testing.T) {
 				for i := 1; i < depth; i++ {
 					u := tree.Order[i]
 					ix.ntePlan = planned
-					got := append([]graph.VertexID(nil), ix.CandidatesFor(u, m, &scCached[i])...)
+					got := append([]graph.VertexID(nil), ix.CandidatesFor(u, m, auto.NoLower, auto.NoUpper, &scCached[i])...)
 					ix.ntePlan = nil
-					want := append([]graph.VertexID(nil), ix.CandidatesFor(u, m, &scDirect[i])...)
+					want := append([]graph.VertexID(nil), ix.CandidatesFor(u, m, auto.NoLower, auto.NoUpper, &scDirect[i])...)
 					if len(got) != len(want) {
 						t.Fatalf("trial %d rep %d pass %d u=%d: cached %d candidates, direct %d", trial, rep, pass, u, len(got), len(want))
 					}

@@ -1,6 +1,8 @@
 package ceci
 
 import (
+	"math/bits"
+
 	"ceci/internal/graph"
 	"ceci/internal/setops"
 )
@@ -8,29 +10,50 @@ import (
 // CandMap is the key-value structure backing TE_Candidates and
 // NTE_Candidates (Section 3.1): keys are candidates of the parent (or
 // NTE-neighbor) query vertex, values are the sorted candidates of the
-// child adjacent to that key. Keys are kept sorted so lookups are binary
-// searches, mirroring the paper's sorted-vector implementation (§3.6).
+// child adjacent to that key. Keys are kept sorted, mirroring the
+// paper's sorted-vector implementation (§3.6).
 //
 // The map has two storage modes:
 //
 //   - mutable (construction and refinement): one heap slice per key, so
 //     cascade deletion can shrink individual value lists in place;
 //   - frozen flat (steady state, after Index.Freeze): all values live in
-//     one shared arena and each key holds a [start, end) offset pair, so
-//     Get is a binary search plus a view of contiguous memory — the
-//     paper's ~4-bytes-per-candidate-edge layout (Table 2) with no
-//     per-entry slice headers or pointer chasing.
+//     one shared arena and the i-th key holds the [offs[i], offs[i+1])
+//     range of it — the paper's ~4-bytes-per-candidate-edge layout
+//     (Table 2) with no per-entry slice headers or pointer chasing.
+//
+// A frozen map finds a key's rank i through one of two key directories,
+// whichever is smaller: the sorted key list (4 B per key, Get is a
+// binary search), or, when keys are dense in their range, a presence
+// bitmap plus the rank of each 64-bit word's first key (12 B per word,
+// Get is a bit test and a popcount).
 //
 // Frozen maps are immutable: the mutating methods panic.
 type CandMap struct {
-	keys  []graph.VertexID
+	keys  []graph.VertexID   // mutable mode and the sparse frozen directory
 	vals  [][]graph.VertexID // mutable mode; nil once frozen
-	offs  []uint32           // frozen mode: len(keys)+1 offsets into arena
+	offs  []uint32           // frozen mode: Len()+1 offsets into arena
 	arena []graph.VertexID   // frozen mode: contiguous value storage
+	dense *keyBitmap         // frozen dense directory (keys is nil), or nil
+}
+
+// keyBitmap is the dense key directory of a frozen CandMap: bit k of
+// bits[w] marks key 64·(base+w)+k present, and rank[w] counts the keys
+// in earlier words. It sits behind a pointer so maps that keep the
+// sparse form pay one word for it.
+type keyBitmap struct {
+	base uint32
+	bits []uint64
+	rank []uint32
 }
 
 // Len returns the number of live keys.
-func (m *CandMap) Len() int { return len(m.keys) }
+func (m *CandMap) Len() int {
+	if m.offs != nil {
+		return len(m.offs) - 1
+	}
+	return len(m.keys)
+}
 
 // Frozen reports whether the map is in the flat arena-backed mode.
 func (m *CandMap) Frozen() bool { return m.offs != nil }
@@ -38,6 +61,19 @@ func (m *CandMap) Frozen() bool { return m.offs != nil }
 // Get returns the value list for key, or nil. On a frozen map the result
 // is a view of the shared arena; it must not be modified.
 func (m *CandMap) Get(key graph.VertexID) []graph.VertexID {
+	if d := m.dense; d != nil {
+		// Keys below the first word wrap around to a huge w.
+		w := key>>6 - d.base
+		if w >= uint32(len(d.bits)) {
+			return nil
+		}
+		word, bit := d.bits[w], uint64(1)<<(key&63)
+		if word&bit == 0 {
+			return nil
+		}
+		i := d.rank[w] + uint32(bits.OnesCount64(word&(bit-1)))
+		return m.arena[m.offs[i]:m.offs[i+1]]
+	}
 	keys := m.keys
 	lo, hi := 0, len(keys)
 	for lo < hi {
@@ -143,19 +179,26 @@ func (m *CandMap) DeleteValue(v graph.VertexID, emptied []graph.VertexID) []grap
 
 // ForEach visits live (key, values) pairs in ascending key order.
 func (m *CandMap) ForEach(fn func(key graph.VertexID, values []graph.VertexID)) {
-	if m.offs != nil {
+	switch {
+	case m.dense != nil:
+		i := 0
+		for w, word := range m.dense.bits {
+			for ; word != 0; word &= word - 1 {
+				key := (m.dense.base+uint32(w))<<6 | uint32(bits.TrailingZeros64(word))
+				fn(key, m.arena[m.offs[i]:m.offs[i+1]])
+				i++
+			}
+		}
+	case m.offs != nil:
 		for i := range m.keys {
 			fn(m.keys[i], m.arena[m.offs[i]:m.offs[i+1]])
 		}
-		return
-	}
-	for i := range m.keys {
-		fn(m.keys[i], m.vals[i])
+	default:
+		for i := range m.keys {
+			fn(m.keys[i], m.vals[i])
+		}
 	}
 }
-
-// Keys returns the sorted key slice (aliases internal storage).
-func (m *CandMap) Keys() []graph.VertexID { return m.keys }
 
 // ValueUnion returns the sorted union of all value lists.
 func (m *CandMap) ValueUnion() []graph.VertexID {
@@ -182,8 +225,8 @@ func (m *CandMap) CandidateEdges() int64 {
 // freezeInto compacts the map into the flat mode, appending every value
 // list to arena (which must have enough spare capacity that no append
 // reallocates — Node.freeze presizes it) and installing [start, end)
-// offsets. The mutable per-key slices are released. Returns the extended
-// arena.
+// offsets plus the smaller key directory. The mutable per-key slices are
+// released. Returns the extended arena.
 func (m *CandMap) freezeInto(arena []graph.VertexID) []graph.VertexID {
 	if m.offs != nil {
 		return arena
@@ -198,14 +241,35 @@ func (m *CandMap) freezeInto(arena []graph.VertexID) []graph.VertexID {
 	m.offs = offs
 	m.arena = arena[start:len(arena):len(arena)]
 	m.vals = nil
+	if n := len(m.keys); n > 0 {
+		base := m.keys[0] >> 6
+		if words := int64(m.keys[n-1]>>6-base) + 1; 12*words < 4*int64(n) {
+			d := &keyBitmap{base: base, bits: make([]uint64, words), rank: make([]uint32, words)}
+			for _, k := range m.keys {
+				d.bits[k>>6-base] |= 1 << (k & 63)
+			}
+			var r uint32
+			for w, word := range d.bits {
+				d.rank[w] = r
+				r += uint32(bits.OnesCount64(word))
+			}
+			m.dense = d
+			m.keys = nil
+		}
+	}
 	return arena
 }
 
 // flatBytes is the physical footprint of the frozen representation:
-// 4 bytes per key, 4 per offset, 4 per arena entry. Zero when mutable.
+// the key directory (4 bytes per key, or 12 per bitmap word), 4 bytes
+// per offset and 4 per arena entry. Zero when mutable.
 func (m *CandMap) flatBytes() int64 {
 	if m.offs == nil {
 		return 0
 	}
-	return 4 * int64(len(m.keys)+len(m.offs)+len(m.arena))
+	b := 4 * int64(len(m.keys)+len(m.offs)+len(m.arena))
+	if d := m.dense; d != nil {
+		b += 12 * int64(len(d.bits))
+	}
+	return b
 }

@@ -21,14 +21,25 @@ func eqVals(a, b []graph.VertexID) bool {
 	return true
 }
 
+// keysOf collects a CandMap's keys in ForEach order.
+func keysOf(m *CandMap) []graph.VertexID {
+	var keys []graph.VertexID
+	m.ForEach(func(k graph.VertexID, _ []graph.VertexID) { keys = append(keys, k) })
+	return keys
+}
+
 // assertSameCandMap checks that a mutable and a frozen CandMap expose the
 // same logical content through every read accessor.
 func assertSameCandMap(t *testing.T, u int, kind string, mut, fro *CandMap) {
 	t.Helper()
-	if !eqVals(mut.Keys(), fro.Keys()) {
-		t.Fatalf("u%d %s: keys differ: %v vs %v", u, kind, mut.Keys(), fro.Keys())
+	mutKeys := keysOf(mut)
+	if froKeys := keysOf(fro); !eqVals(mutKeys, froKeys) {
+		t.Fatalf("u%d %s: keys differ: %v vs %v", u, kind, mutKeys, froKeys)
 	}
-	for _, k := range mut.Keys() {
+	if mut.Len() != len(mutKeys) || fro.Len() != len(mutKeys) {
+		t.Fatalf("u%d %s: Len %d / %d, want %d", u, kind, mut.Len(), fro.Len(), len(mutKeys))
+	}
+	for _, k := range mutKeys {
 		if !eqVals(mut.Get(k), fro.Get(k)) {
 			t.Fatalf("u%d %s[%d]: values differ: %v vs %v", u, kind, k, mut.Get(k), fro.Get(k))
 		}
@@ -44,7 +55,7 @@ func assertSameCandMap(t *testing.T, u int, kind string, mut, fro *CandMap) {
 	}
 	i := 0
 	fro.ForEach(func(k graph.VertexID, vals []graph.VertexID) {
-		if k != mut.Keys()[i] || !eqVals(vals, mut.Get(k)) {
+		if k != mutKeys[i] || !eqVals(vals, mut.Get(k)) {
 			t.Fatalf("u%d %s: ForEach diverges at key %d", u, kind, k)
 		}
 		i++
@@ -122,7 +133,7 @@ func TestFrozenMutationPanics(t *testing.T) {
 	}
 	for name, mutate := range map[string]func(){
 		"AppendKey":   func() { m.AppendKey(1<<30, []graph.VertexID{1}) },
-		"Delete":      func() { m.Delete(m.Keys()[0]) },
+		"Delete":      func() { m.Delete(keysOf(m)[0]) },
 		"DeleteValue": func() { m.DeleteValue(1, nil) },
 	} {
 		func() {

@@ -317,11 +317,27 @@ func (ix *Index) ClusterCardinality(pivot graph.VertexID) int64 {
 	return ix.Nodes[ix.Tree.Root].CardOf(pivot)
 }
 
+// ClusterCards returns every cluster's refined cardinality, parallel to
+// Pivots(): on a frozen index, the root's cardinality column itself
+// (read-only), so schedulers read a cluster's card by pivot index with no
+// lookup. An unfrozen index builds the list.
+func (ix *Index) ClusterCards() []int64 {
+	root := &ix.Nodes[ix.Tree.Root]
+	if root.cardVals != nil {
+		return root.cardVals
+	}
+	cards := make([]int64, len(root.Cands))
+	for i, v := range root.Cands {
+		cards[i] = root.Card[v]
+	}
+	return cards
+}
+
 // TotalCardinality sums cluster cardinalities over all pivots.
 func (ix *Index) TotalCardinality() int64 {
 	var total int64
-	for _, p := range ix.Pivots() {
-		total = satAdd(total, ix.ClusterCardinality(p))
+	for _, c := range ix.ClusterCards() {
+		total = satAdd(total, c)
 	}
 	return total
 }
@@ -391,8 +407,9 @@ func containsSorted(vs []graph.VertexID, x graph.VertexID) bool {
 func (ix *Index) SizeBytes() int64 { return 8 * ix.UniqueCandidateEdges() }
 
 // PhysicalBytes reports the actual in-memory footprint. For a frozen
-// index this is exact: 4 bytes per key, 4 per offset, 4 per arena entry
-// (plus the candidate and cardinality columns) — the flat layout DESIGN.md
+// index this is exact: the key directories (4 bytes per key, or 12 per
+// dense bitmap word), 4 bytes per offset, 4 per arena entry (plus the
+// candidate and cardinality columns) — the flat layout DESIGN.md
 // maps to the paper's Table 2 byte model. For a mutable index it is the
 // pre-freeze estimate of 4 bytes per stored value plus 12 per key (key +
 // slice header amortized).

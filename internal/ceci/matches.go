@@ -1,6 +1,8 @@
 package ceci
 
 import (
+	"slices"
+
 	"ceci/internal/graph"
 	"ceci/internal/setops"
 )
@@ -64,13 +66,32 @@ func (sc *MatchScratch) ResetUnitCache() { sc.nteOK = false }
 // prune is enabled, base candidates whose neighborhood provably lacks a
 // label required by u's later-matched query neighbors are dropped first.
 //
+// Only candidates strictly inside the open interval (lo, hi) are
+// returned: the symmetry-breaking bounds of auto.Constraints.Bounds.
+// Every input list is clipped to the interval by binary search before
+// it is intersected, so the kernels never scan or emit a candidate the
+// ordering constraints would reject; (auto.NoLower, auto.NoUpper)
+// leaves the lists whole. The stable-intersection cache is built from
+// unclipped lists, and only the view of it that a lookup reads is
+// clipped, so the cache stays valid across sibling lookups whose
+// bounds differ.
+//
 // The returned slice may alias index storage or scratch buffers: it is
 // valid only until the next CandidatesFor call with the same scratch, and
 // must not be modified.
-func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
+func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, lo, hi int64, sc *MatchScratch) []graph.VertexID {
 	tree := ix.Tree
 	node := &ix.Nodes[u]
+	var plan cachePlan
+	if ix.ntePlan != nil {
+		plan = ix.ntePlan[u]
+	}
 	base := node.TE.Get(m[tree.Parent[u]])
+	if !plan.use || plan.volBase {
+		// A stable base feeds the cached intersection whole; every other
+		// base is read only by this lookup.
+		base = clip(base, lo, hi)
+	}
 	if len(base) == 0 {
 		return nil
 	}
@@ -110,10 +131,6 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 	}
 
 	nparents := tree.NTEParents[u]
-	var plan cachePlan
-	if ix.ntePlan != nil {
-		plan = ix.ntePlan[u]
-	}
 	if !plan.use {
 		// Fewer than two stable inputs (or an unfrozen index): the cache
 		// would precompute nothing, and its fixed pairing order would
@@ -122,7 +139,7 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 		lists := sc.lists[:0]
 		lists = append(lists, base)
 		for j, un := range nparents {
-			l := node.NTE[j].Get(m[un])
+			l := clip(node.NTE[j].Get(m[un]), lo, hi)
 			if len(l) == 0 {
 				sc.lists = lists
 				if p := ix.opts.Profile; p != nil {
@@ -231,9 +248,12 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 			sc.nteRes = setops.IntersectK(&sc.S, lists)
 		}
 	}
-	if len(sc.nteRes) == 0 {
-		// Cached-empty: every sibling under these stable assignments
-		// fails the same way.
+	// The lookup reads the cached result through its bounds.
+	stable := clip(sc.nteRes, lo, hi)
+	if len(stable) == 0 {
+		// Empty: the cached intersection is empty (every sibling under
+		// these stable assignments fails the same way) or holds nothing
+		// inside this lookup's bounds.
 		if p := ix.opts.Profile; p != nil {
 			vc := p.Vertex(int(u))
 			vc.EnumLookups.Add(1)
@@ -248,28 +268,29 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 		return nil
 	}
 
-	// Volatile step: intersect the cached stable result with the one
-	// input keyed by the predecessor — the TE base list, a single NTE
-	// list, or nothing at all (the cached result is the answer).
+	// Volatile step: intersect the clipped stable result with the one
+	// input keyed by the predecessor — the TE base list (clipped above),
+	// a single clipped NTE list, or nothing at all (the clipped cached
+	// result is the answer).
 	var result []uint32
 	var volCmp int64
 	intersections := rebuilt
 	switch {
 	case plan.volBase:
-		volCmp = int64(len(sc.nteRes)) + int64(len(base))
-		result = setops.IntersectWith(setops.ChooseKernel(sc.nteRes, base), sc.out[:0], sc.nteRes, base, &sc.S)
+		volCmp = int64(len(stable)) + int64(len(base))
+		result = setops.IntersectWith(setops.ChooseKernel(stable, base), sc.out[:0], stable, base, &sc.S)
 		sc.out = result
 		intersections++
 		if ix.opts.Stats != nil {
 			ix.opts.Stats.IntersectionOps.Add(1)
 		}
 	case plan.volNTE >= 0:
-		lv := node.NTE[plan.volNTE].Get(m[nparents[plan.volNTE]])
-		volCmp = int64(len(sc.nteRes)) + int64(len(lv))
+		lv := clip(node.NTE[plan.volNTE].Get(m[nparents[plan.volNTE]]), lo, hi)
+		volCmp = int64(len(stable)) + int64(len(lv))
 		if len(lv) == 0 {
 			result = nil
 		} else {
-			result = setops.IntersectWith(setops.ChooseKernel(sc.nteRes, lv), sc.out[:0], sc.nteRes, lv, &sc.S)
+			result = setops.IntersectWith(setops.ChooseKernel(stable, lv), sc.out[:0], stable, lv, &sc.S)
 			sc.out = result
 			intersections++
 			if ix.opts.Stats != nil {
@@ -277,7 +298,7 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 			}
 		}
 	default:
-		result = sc.nteRes
+		result = stable
 	}
 	if p := ix.opts.Profile; p != nil {
 		vc := p.Vertex(int(u))
@@ -298,11 +319,36 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 }
 
 // CandidatesForEdgeVerify is the ablation variant (Section 4.1, Lemma 2):
-// it returns only the TE candidates and leaves non-tree edges to be
-// verified by adjacency probes, the way TurboIso/CFLMatch-style systems
-// operate. VerifyNTE performs those probes.
-func (ix *Index) CandidatesForEdgeVerify(u graph.VertexID, m []graph.VertexID) []graph.VertexID {
-	return ix.Nodes[u].TE.Get(m[ix.Tree.Parent[u]])
+// it returns only the TE candidates inside the bounds (lo, hi), and
+// leaves non-tree edges to be verified by adjacency probes, the way
+// TurboIso/CFLMatch-style systems operate. VerifyNTE performs those
+// probes.
+func (ix *Index) CandidatesForEdgeVerify(u graph.VertexID, m []graph.VertexID, lo, hi int64) []graph.VertexID {
+	return clip(ix.Nodes[u].TE.Get(m[ix.Tree.Parent[u]]), lo, hi)
+}
+
+// clip returns the view of sorted list l strictly inside the open
+// interval (lo, hi). A side that cuts nothing off costs one compare;
+// only a bound that falls inside the list costs a binary search.
+func clip(l []graph.VertexID, lo, hi int64) []graph.VertexID {
+	if len(l) == 0 {
+		return l
+	}
+	if lo >= int64(l[0]) {
+		if lo >= int64(l[len(l)-1]) {
+			return nil
+		}
+		i, _ := slices.BinarySearch(l, graph.VertexID(lo+1))
+		l = l[i:]
+	}
+	if hi <= int64(l[len(l)-1]) {
+		if hi <= int64(l[0]) {
+			return nil
+		}
+		j, _ := slices.BinarySearch(l, graph.VertexID(hi))
+		l = l[:j]
+	}
+	return l
 }
 
 // VerifyNTE checks v against every non-tree edge of u by binary-search

@@ -41,6 +41,46 @@ func hubTriangles(leaves int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// labeledHubTriangles returns a labeled triangle query with three
+// distinct labels, which has no automorphisms, so symmetry breaking never
+// bounds its lookups, and a data graph for it: hubs of labels 0 and 1,
+// all adjacent to each other, plus label-2 leaves spaced stride ids
+// apart. Leaf i is adjacent to hub a of label 0 when i+a is even and to
+// hub b of label 1 when i+b is not a multiple of three. Closing a
+// triangle intersects two comparably sized leaf lists whose values are
+// sparse but spread no wider than the probe kernel's span gate, which
+// drives the probe kernel.
+func labeledHubTriangles(hubs, leaves, stride int) (data, query *graph.Graph) {
+	b := graph.NewBuilder(2*hubs + leaves*stride)
+	for a := 0; a < hubs; a++ {
+		b.SetLabel(graph.VertexID(hubs+a), 1)
+		for c := 0; c < hubs; c++ {
+			b.AddEdge(graph.VertexID(a), graph.VertexID(hubs+c))
+		}
+	}
+	for i := 0; i < leaves*stride; i++ {
+		b.SetLabel(graph.VertexID(2*hubs+i), 2)
+	}
+	for i := 0; i < leaves; i++ {
+		leaf := graph.VertexID(2*hubs + i*stride)
+		for a := 0; a < hubs; a++ {
+			if (i+a)%2 == 0 {
+				b.AddEdge(graph.VertexID(a), leaf)
+			}
+			if (i+a)%3 != 0 {
+				b.AddEdge(graph.VertexID(hubs+a), leaf)
+			}
+		}
+	}
+	q := graph.NewBuilder(3)
+	q.SetLabel(1, 1)
+	q.SetLabel(2, 2)
+	q.AddEdge(0, 1)
+	q.AddEdge(1, 2)
+	q.AddEdge(0, 2)
+	return b.MustBuild(), q.MustBuild()
+}
+
 // kernelCalls runs a profiled enumeration of (data, query) and returns
 // the per-kernel call totals, so fixtures can assert which kernel the
 // adaptive selector actually exercised.
@@ -57,9 +97,9 @@ func kernelCalls(t *testing.T, data, query *graph.Graph) map[string]int64 {
 }
 
 // TestEnumerationStepZeroAlloc proves the steady-state enumeration step —
-// CandidatesFor against the frozen flat index, setops.IntersectK through
-// the per-depth scratch, the word-packed injectivity bitmap, and the
-// symmetry-breaking check — performs zero heap allocations once a
+// the symmetry bounds, the bounded CandidatesFor against the frozen flat
+// index, setops.IntersectK through the per-depth scratch, and the
+// word-packed injectivity bitmap — performs zero heap allocations once a
 // worker's buffers are warm. This is the contract the arena-backed index
 // exists to provide; any regression (a closure capture, a map lookup that
 // boxes, a scratch slice that stopped being reused) fails here before it
@@ -82,11 +122,14 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 		// adjacency against tiny leaf adjacencies, a >16:1 ratio that
 		// forces the gallop kernel.
 		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop"},
-		// Triangle query over the same hub graph: the moderately sparse
-		// comparably sized leaf-chain lists drive the probe kernel.
-		{"hub-probe", hubTriangles(600), gen.QG1(), "probe"},
+		// Labeled triangle query over labeled hubs and sparse leaves:
+		// comparably sized, sparse but clustered leaf lists drive the
+		// probe kernel. The query has no automorphisms, so symmetry
+		// breaking cannot shrink the lists into another kernel's range.
+		{"hub-probe", nil, nil, "probe"},
 	}
 	cases[1].data, cases[1].query = gen.RandomPair(7)
+	cases[4].data, cases[4].query = labeledHubTriangles(8, 300, 40)
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,8 +148,8 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 				t.Fatal("Build did not freeze the index")
 			}
 			m := NewMatcher(ix, Options{Workers: 1, Strategy: workload.FGD})
-			units := m.units()
-			if len(units) == 0 {
+			units := m.schedule()
+			if units.Len() == 0 {
 				t.Skip("no work units for this pair")
 			}
 			var count int64
@@ -116,8 +159,8 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 			}}
 			s := newSearcher(m, ctl)
 			pass := func() {
-				for _, u := range units {
-					s.runUnit(u)
+				for i := 0; i < units.Len(); i++ {
+					s.runUnit(units.Unit(i))
 				}
 			}
 			pass() // warm the per-depth intersection scratch

@@ -64,15 +64,15 @@ func TestDepthStatsZeroAlloc(t *testing.T) {
 	ix := ceci.Build(data, tree, ceci.Options{})
 	ds := NewDepthStats(tree.NumVertices())
 	m := NewMatcher(ix, Options{Workers: 1, Strategy: workload.FGD, Depth: ds})
-	units := m.units()
-	if len(units) == 0 {
+	units := m.schedule()
+	if units.Len() == 0 {
 		t.Skip("no work units")
 	}
 	ctl := &control{fn: func([]graph.VertexID) bool { return true }}
 	s := newSearcher(m, ctl)
 	pass := func() {
-		for _, u := range units {
-			s.runUnit(u)
+		for i := 0; i < units.Len(); i++ {
+			s.runUnit(units.Unit(i))
 		}
 		s.chargeDepth()
 	}

@@ -171,11 +171,12 @@ func (m *Matcher) ForEachCtx(ctx context.Context, fn func(emb []graph.VertexID) 
 }
 
 func (m *Matcher) forEach(ctx context.Context, ctl *control) {
-	units := m.units()
+	sched := m.schedule()
+	n := sched.Len()
 	if rep := m.opts.Progress; rep != nil {
 		var card int64
-		for _, u := range units {
-			if card += u.Card; card < 0 { // overflow: clamp
+		for i := 0; i < n; i++ {
+			if card += sched.Unit(i).Card; card < 0 { // overflow: clamp
 				card = ceci.CardSaturation
 			}
 		}
@@ -183,16 +184,16 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 			m.opts.Clock = stats.NewWorkerClock(m.opts.Workers)
 		}
 		rep.SetClock(m.opts.Clock)
-		rep.AddTotals(len(units), card)
+		rep.AddTotals(n, card)
 		rep.Start()
 		defer rep.Stop()
 	}
-	if len(units) == 0 {
+	if n == 0 {
 		return
 	}
 	workers := m.opts.Workers
-	if workers > len(units) && m.opts.Strategy != workload.FGD {
-		workers = len(units)
+	if workers > n && m.opts.Strategy != workload.FGD {
+		workers = n
 	}
 	if workers < 1 {
 		workers = 1
@@ -203,73 +204,56 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 	// a bare ForEach stays a local root span.
 	span := obs.StartUnder(ctx, m.opts.Trace, "enumerate",
 		obs.String("strategy", m.opts.Strategy.String()),
-		obs.Int("units", int64(len(units))),
+		obs.Int("units", int64(n)),
 		obs.Int("workers", int64(workers)))
 	defer span.End()
 
 	if st := m.opts.Stats; st != nil {
-		st.UnitsScheduled.Add(int64(len(units)))
-		if n := len(units) - len(m.ix.Pivots()); n > 0 {
-			st.ExtremeSplits.Add(int64(n))
+		st.UnitsScheduled.Add(int64(n))
+		if splits := n - len(m.ix.Pivots()); splits > 0 {
+			st.ExtremeSplits.Add(int64(splits))
 		}
 	}
 	if p := m.opts.Profile; p != nil {
-		pivots := m.ix.Pivots()
-		pivotCards := make([]int64, len(pivots))
-		for i, pv := range pivots {
-			pivotCards[i] = m.ix.ClusterCardinality(pv)
+		unitCards := make([]int64, n)
+		for i := range unitCards {
+			unitCards[i] = sched.Unit(i).Card
 		}
-		unitCards := make([]int64, len(units))
-		for i, u := range units {
-			unitCards[i] = u.Card
-		}
-		p.RecordClusters(m.opts.Strategy.String(), pivotCards, unitCards)
+		p.RecordClusters(m.opts.Strategy.String(), m.ix.ClusterCards(), unitCards)
 		p.EnsureWorkers(workers)
 		enumStart := time.Now()
 		defer func() { p.AddEnumWall(time.Since(enumStart)) }()
 	}
 
-	switch m.opts.Strategy {
-	case workload.ST:
-		groups := workload.Partition(units, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				m.runWorker(w, ctl, span, func() (workload.Unit, bool) {
-					g := groups[w]
-					if len(g) == 0 {
-						return workload.Unit{}, false
-					}
-					groups[w] = g[1:]
-					return g[0], true
-				})
-			}(w)
-		}
-		wg.Wait()
-	default: // CGD, FGD
-		pool := workload.NewPool(units)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				m.runWorker(w, ctl, span, pool.Next)
-			}(w)
-		}
-		wg.Wait()
+	// ST walks each worker's static round-robin share in place; CGD and
+	// FGD pull from one shared pool.
+	var pool *workload.Pool
+	if m.opts.Strategy != workload.ST {
+		pool = workload.NewPool(sched)
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		var next func() (workload.Unit, bool)
+		if pool != nil {
+			next = pool.Next
+		} else {
+			next = sched.Partition(w, workers).Next
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m.runWorker(w, ctl, span, next)
+		}(w)
+	}
+	wg.Wait()
 }
 
-// units materializes the schedulable work according to the strategy.
-func (m *Matcher) units() []workload.Unit {
-	switch m.opts.Strategy {
-	case workload.FGD:
+// schedule lays out the work according to the strategy.
+func (m *Matcher) schedule() workload.Schedule {
+	if m.opts.Strategy == workload.FGD {
 		return workload.Decompose(m.ix, m.cons, m.opts.Beta, m.opts.Workers)
-	default:
-		return workload.Clusters(m.ix)
 	}
+	return workload.Clusters(m.ix)
 }
 
 // control carries the shared early-termination state. The stop flag is

@@ -26,10 +26,11 @@ type UnitCost struct {
 // units equals a full unlimited enumeration (Options.Limit is ignored:
 // scalability experiments enumerate everything).
 func (m *Matcher) MeasureUnits() []UnitCost {
-	units := m.units()
-	costs := make([]UnitCost, len(units))
+	sched := m.schedule()
+	costs := make([]UnitCost, sched.Len())
 	s := newSearcher(m, &control{fn: func([]graph.VertexID) bool { return true }})
-	for i, u := range units {
+	for i := range costs {
+		u := sched.Unit(i)
 		before := s.embeddings
 		start := time.Now()
 		s.runUnit(u)

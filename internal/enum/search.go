@@ -129,11 +129,14 @@ func (s *searcher) search(depth int) bool {
 	u := s.tree.order[depth]
 	s.recursiveCalls++
 
+	// Symmetry breaking bounds the lookup itself: every candidate it
+	// returns already satisfies the ordering constraints.
+	lo, hi := s.m.cons.Bounds(u, s.emb, s.matched)
 	var cands []graph.VertexID
 	if s.m.opts.EdgeVerification {
-		cands = s.m.ix.CandidatesForEdgeVerify(u, s.emb)
+		cands = s.m.ix.CandidatesForEdgeVerify(u, s.emb, lo, hi)
 	} else {
-		cands = s.m.ix.CandidatesFor(u, s.emb, &s.scratch[depth])
+		cands = s.m.ix.CandidatesFor(u, s.emb, lo, hi, &s.scratch[depth])
 	}
 	if s.depthLookups != nil {
 		s.depthLookups[depth]++
@@ -142,12 +145,8 @@ func (s *searcher) search(depth int) bool {
 	if len(cands) == 0 {
 		return true
 	}
-	cons := s.m.cons
 	for _, v := range cands {
 		if s.used.Get(v) {
-			continue
-		}
-		if cons != nil && !cons.Allows(u, v, s.emb, s.matched) {
 			continue
 		}
 		if s.m.opts.EdgeVerification && !s.m.ix.VerifyNTE(u, v, s.emb) {

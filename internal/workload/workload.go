@@ -57,18 +57,41 @@ type Unit struct {
 	Card   int64
 }
 
-// Clusters returns one depth-1 unit per pivot, in pivot order. All
-// prefixes share one backing array — one allocation instead of one per
-// pivot keeps scheduling off the enumeration allocation budget.
-func Clusters(ix *ceci.Index) []Unit {
-	pivots := ix.Pivots()
-	backing := make([]graph.VertexID, len(pivots))
-	copy(backing, pivots)
-	units := make([]Unit, len(pivots))
-	for i, p := range pivots {
-		units[i] = Unit{Prefix: backing[i : i+1 : i+1], Card: ix.ClusterCardinality(p)}
+// Schedule is the ordered work of one enumeration, handed out by unit
+// index. Unit i is either the i-th decomposed FGD unit or, when nothing
+// was decomposed, the embedding cluster of the i-th pivot, read straight
+// from the frozen index: its prefix is a view of the pivot list and its
+// card the root's cardinality column. Scheduling whole clusters thus
+// copies nothing per pivot and does no per-pivot lookup.
+type Schedule struct {
+	pivots []graph.VertexID // the index's pivots (shared, read-only)
+	cards  []int64          // cluster cardinalities, parallel to pivots
+	units  []Unit           // the decomposed pool, or nil
+}
+
+// Clusters schedules one depth-1 unit per pivot, in pivot order.
+func Clusters(ix *ceci.Index) Schedule {
+	return Schedule{pivots: ix.Pivots(), cards: ix.ClusterCards()}
+}
+
+// Len returns the number of units.
+func (s Schedule) Len() int {
+	if s.units != nil {
+		return len(s.units)
 	}
-	return units
+	return len(s.pivots)
+}
+
+// Unit returns unit i, 0 <= i < Len().
+func (s Schedule) Unit(i int) Unit {
+	if s.units != nil {
+		return s.units[i]
+	}
+	return s.cluster(i)
+}
+
+func (s Schedule) cluster(i int) Unit {
+	return Unit{Prefix: s.pivots[i : i+1 : i+1], Card: s.cards[i]}
 }
 
 // Decompose implements Algorithm 3: every unit whose workload exceeds
@@ -76,40 +99,44 @@ func Clusters(ix *ceci.Index) []Unit {
 // per-matching-node sub-units. Injectivity and symmetry-breaking
 // constraints are honored during splitting so the resulting units
 // partition exactly the search space the enumerator would explore.
-func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers int) []Unit {
-	units := Clusters(ix)
+func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers int) Schedule {
+	s := Clusters(ix)
 	if workers <= 1 {
-		return units
+		return s
 	}
 	if beta <= 0 {
 		beta = DefaultBeta
 	}
 	var total int64
-	for _, u := range units {
-		total += u.Card
+	for _, c := range s.cards {
+		total += c
 	}
 	if total <= 0 {
-		return units
+		return s
 	}
 	threshold := beta * float64(total) / float64(workers)
 	if threshold < 1 {
 		threshold = 1
 	}
 
+	n := ix.Tree.NumVertices()
 	d := decomposer{
 		ix:        ix,
 		cons:      cons,
 		threshold: threshold,
-		m:         make([]graph.VertexID, ix.Tree.NumVertices()),
-		matched:   make([]bool, ix.Tree.NumVertices()),
+		m:         make([]graph.VertexID, n),
+		matched:   make([]bool, n),
+		scratch:   make([]ceci.MatchScratch, n),
 	}
-	out := make([]Unit, 0, len(units))
-	for _, u := range units {
+	out := make([]Unit, 0, len(s.pivots))
+	for i := range s.pivots {
+		u := s.cluster(i)
 		out = d.split(out, u.Prefix, float64(u.Card))
 	}
 	// Largest units first smooths worker finishing times (§4.3).
 	slices.SortFunc(out, func(a, b Unit) int { return cmp.Compare(b.Card, a.Card) })
-	return out
+	s.units = out
+	return s
 }
 
 type decomposer struct {
@@ -118,7 +145,10 @@ type decomposer struct {
 	threshold float64
 	m         []graph.VertexID
 	matched   []bool
-	scratch   ceci.MatchScratch
+	// scratch is per depth, as in the enumerator: a lookup's stable
+	// cache is keyed by ancestor assignments only, so lookups for
+	// different query vertices must not share one.
+	scratch []ceci.MatchScratch
 
 	// prefixes is the arena backing every emitted sub-unit prefix: one
 	// growing allocation instead of one slice per unit. Growth may
@@ -166,7 +196,8 @@ func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []
 	}()
 
 	uNext := tree.Order[depth]
-	matching := d.ix.CandidatesFor(uNext, d.m, &d.scratch)
+	lo, hi := d.cons.Bounds(uNext, d.m, d.matched)
+	matching := d.ix.CandidatesFor(uNext, d.m, lo, hi, &d.scratch[depth])
 
 	// Filter to assignments the enumerator would actually make, and
 	// collect their cardinalities for proportional workload split. The
@@ -179,9 +210,6 @@ func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []
 	var total int64
 	for _, v := range matching {
 		if d.used(prefix, v) {
-			continue
-		}
-		if d.cons != nil && !d.cons.Allows(uNext, v, d.m, d.matched) {
 			continue
 		}
 		c := node.CardOf(v)
@@ -233,34 +261,46 @@ func (d *decomposer) used(prefix []graph.VertexID, v graph.VertexID) bool {
 // Pool is a shared work pool workers pull from (the classical pull-based
 // dynamic model the paper cites). Safe for concurrent Next calls.
 type Pool struct {
-	units  []Unit
+	s      Schedule
 	cursor atomic.Int64
 }
 
-// NewPool wraps units in a pool.
-func NewPool(units []Unit) *Pool { return &Pool{units: units} }
+// NewPool wraps a schedule in a pool.
+func NewPool(s Schedule) *Pool { return &Pool{s: s} }
 
 // Next returns the next unit, or false when the pool is drained.
 func (p *Pool) Next() (Unit, bool) {
 	i := p.cursor.Add(1) - 1
-	if i >= int64(len(p.units)) {
+	if i >= int64(p.s.Len()) {
 		return Unit{}, false
 	}
-	return p.units[i], true
+	return p.s.Unit(int(i)), true
 }
 
-// Len returns the total number of units.
-func (p *Pool) Len() int { return len(p.units) }
+// Share is one worker's static ST assignment: every k-th unit of a
+// schedule starting at the worker's own index, in schedule order. Not
+// safe for concurrent use; each worker owns its share.
+type Share struct {
+	s          Schedule
+	next, step int
+}
 
-// Partition splits units into k static groups round-robin (ST). Workers
-// own their group exclusively.
-func Partition(units []Unit, k int) [][]Unit {
+// Partition returns worker w's share of the round-robin split of s into
+// k static groups (ST): units w, w+k, w+2k, …. The groups are walked in
+// place; no unit is copied. k < 1 collapses to one group.
+func (s Schedule) Partition(w, k int) *Share {
 	if k < 1 {
 		k = 1
 	}
-	groups := make([][]Unit, k)
-	for i, u := range units {
-		groups[i%k] = append(groups[i%k], u)
+	return &Share{s: s, next: w, step: k}
+}
+
+// Next returns the share's next unit, or false when it is exhausted.
+func (sh *Share) Next() (Unit, bool) {
+	if sh.next >= sh.s.Len() {
+		return Unit{}, false
 	}
-	return groups
+	u := sh.s.Unit(sh.next)
+	sh.next += sh.step
+	return u, true
 }

@@ -27,10 +27,11 @@ func TestClustersOnePerPivot(t *testing.T) {
 	data := gen.Kronecker(8, 6, 3)
 	ix := buildIndex(t, data, gen.QG1())
 	units := workload.Clusters(ix)
-	if len(units) != len(ix.Pivots()) {
-		t.Fatalf("units %d != pivots %d", len(units), len(ix.Pivots()))
+	if units.Len() != len(ix.Pivots()) {
+		t.Fatalf("units %d != pivots %d", units.Len(), len(ix.Pivots()))
 	}
-	for i, u := range units {
+	for i := 0; i < units.Len(); i++ {
+		u := units.Unit(i)
 		if len(u.Prefix) != 1 || u.Prefix[0] != ix.Pivots()[i] {
 			t.Fatalf("unit %d malformed: %+v", i, u)
 		}
@@ -62,6 +63,27 @@ func TestDecomposePartitionsSearchSpace(t *testing.T) {
 	}
 }
 
+// TestDecomposeDeepSplits: with a tiny beta, FGD splits clique clusters
+// down to depth 4, where lookups for different query vertices share the
+// same ancestor assignments. Each depth needs its own lookup scratch: a
+// shared one served one vertex's cached intersection to another (and
+// indexed past a shorter cache key, which panicked).
+func TestDecomposeDeepSplits(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		data := gen.Kronecker(8, 12, seed)
+		for _, query := range []*graph.Graph{gen.QG3(), gen.QG5()} {
+			ix := buildIndex(t, data, query)
+			want := enum.NewMatcher(ix, enum.Options{Workers: 1, Strategy: workload.CGD}).Count()
+			for _, beta := range []float64{0.01, 0.001} {
+				m := enum.NewMatcher(ix, enum.Options{Workers: 16, Strategy: workload.FGD, Beta: beta})
+				if got := m.Count(); got != want {
+					t.Fatalf("seed %d beta %v: FGD counted %d, CGD %d", seed, beta, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDecomposeSplitsExtremeClusters(t *testing.T) {
 	// A hub-heavy Kronecker graph has dominant clusters; with small beta
 	// and several workers, FGD must produce more units than clusters.
@@ -70,12 +92,12 @@ func TestDecomposeSplitsExtremeClusters(t *testing.T) {
 	cons := auto.Compute(gen.QG1())
 	clusters := workload.Clusters(ix)
 	units := workload.Decompose(ix, cons, 0.1, 16)
-	if len(units) <= len(clusters) {
-		t.Fatalf("decomposition did not split: %d units vs %d clusters", len(units), len(clusters))
+	if units.Len() <= clusters.Len() {
+		t.Fatalf("decomposition did not split: %d units vs %d clusters", units.Len(), clusters.Len())
 	}
 	// Pool must be sorted by descending cardinality.
-	for i := 1; i < len(units); i++ {
-		if units[i-1].Card < units[i].Card {
+	for i := 1; i < units.Len(); i++ {
+		if units.Unit(i-1).Card < units.Unit(i).Card {
 			t.Fatalf("pool not sorted at %d", i)
 		}
 	}
@@ -85,18 +107,19 @@ func TestDecomposeSingleWorkerNoSplit(t *testing.T) {
 	data := gen.Kronecker(8, 6, 3)
 	ix := buildIndex(t, data, gen.QG1())
 	units := workload.Decompose(ix, nil, 0.1, 1)
-	if len(units) != len(workload.Clusters(ix)) {
+	if units.Len() != workload.Clusters(ix).Len() {
 		t.Fatal("single worker should skip decomposition")
 	}
 }
 
 func TestPoolDrainsExactlyOnce(t *testing.T) {
-	units := make([]workload.Unit, 100)
-	for i := range units {
-		units[i] = workload.Unit{Prefix: []graph.VertexID{graph.VertexID(i)}}
+	ix := buildIndex(t, gen.Kronecker(8, 6, 3), gen.QG1())
+	units := workload.Clusters(ix)
+	if units.Len() < 100 {
+		t.Fatalf("fixture has only %d clusters", units.Len())
 	}
 	pool := workload.NewPool(units)
-	seen := make(chan graph.VertexID, 200)
+	seen := make(chan graph.VertexID, 2*units.Len())
 	done := make(chan bool)
 	for w := 0; w < 4; w++ {
 		go func() {
@@ -118,8 +141,8 @@ func TestPoolDrainsExactlyOnce(t *testing.T) {
 	for v := range seen {
 		got[v]++
 	}
-	if len(got) != 100 {
-		t.Fatalf("saw %d distinct units, want 100", len(got))
+	if len(got) != units.Len() {
+		t.Fatalf("saw %d distinct units, want %d", len(got), units.Len())
 	}
 	for v, n := range got {
 		if n != 1 {
@@ -128,14 +151,32 @@ func TestPoolDrainsExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestPartitionRoundRobin: worker w's ST share is units w, w+k, w+2k, …
+// in schedule order, so the k shares partition the schedule.
 func TestPartitionRoundRobin(t *testing.T) {
-	units := make([]workload.Unit, 10)
-	groups := workload.Partition(units, 3)
-	if len(groups[0]) != 4 || len(groups[1]) != 3 || len(groups[2]) != 3 {
-		t.Fatalf("group sizes: %d %d %d", len(groups[0]), len(groups[1]), len(groups[2]))
+	ix := buildIndex(t, gen.Kronecker(8, 6, 3), gen.QG1())
+	units := workload.Clusters(ix)
+	n := units.Len()
+	drain := func(sh *workload.Share) []graph.VertexID {
+		var got []graph.VertexID
+		for u, ok := sh.Next(); ok; u, ok = sh.Next() {
+			got = append(got, u.Prefix[0])
+		}
+		return got
 	}
-	if got := workload.Partition(units, 0); len(got) != 1 || len(got[0]) != 10 {
-		t.Fatal("k<1 should collapse to one group")
+	for w := 0; w < 3; w++ {
+		got := drain(units.Partition(w, 3))
+		if want := (n - w + 2) / 3; len(got) != want {
+			t.Fatalf("share %d has %d units, want %d", w, len(got), want)
+		}
+		for j, v := range got {
+			if v != ix.Pivots()[w+3*j] {
+				t.Fatalf("share %d unit %d is pivot %d, want %d", w, j, v, ix.Pivots()[w+3*j])
+			}
+		}
+	}
+	if got := drain(units.Partition(0, 0)); len(got) != n {
+		t.Fatalf("k<1 should collapse to one group of %d, got %d", n, len(got))
 	}
 }
 
